@@ -9,6 +9,7 @@ from .algorithms import (
     algorithm2,
     caro_tuza_greedy,
     lovasz_equal,
+    lovasz_largest_class,
     lovasz_partition,
 )
 from .bounds import (

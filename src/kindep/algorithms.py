@@ -1,19 +1,19 @@
 """Constructive procedures that output certified k-independent sets.
 
-All four entry points are deterministic: ties in vertex selection always
+Every entry point is deterministic: ties in vertex selection always
 break toward the smallest index, move targets toward the smallest class
 index, so identical inputs give identical outputs and traces.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bounds import potential_f, residue_t
-from .graph import Graph, GraphError, induced_subgraph
-from .oracle import WitnessSet
+from .graph import Graph, GraphError, WitnessSet, induced_subgraph
 
 
 @dataclass
@@ -56,37 +56,36 @@ class Partition:
         return self.classes[best]
 
 
-class _Work:
-    """Mutable deletion view over an immutable graph (degrees among alive)."""
+def _peel(g: Graph):
+    """The max-degree deletion order of G, smallest index on ties.
 
-    def __init__(self, g: Graph):
-        self.g = g
-        self.alive = [True] * g.n
-        self.deg = g.degrees()
-        self.n_alive = g.n
-        self.sum_deg = sum(self.deg)
+    For the state just before each deletion, yields (v, deg, n_alive,
+    sum_deg, live_deg): the vertex deleted next, its live degree, the live
+    vertex count and degree sum, and the live degree list.  live_deg is
+    updated in place; deleted vertices read -1 in it.
 
-    def delete(self, v: int) -> None:
-        self.alive[v] = False
-        self.n_alive -= 1
-        self.sum_deg -= 2 * self.deg[v]
-        for u in self.g.neighbors(v):
-            if self.alive[u]:
-                self.deg[u] -= 1
-
-    def max_degree_vertex(self) -> tuple[int, int]:
-        """(vertex, degree) of maximum live degree, smallest index on ties."""
-        best_v, best_d = -1, -1
-        for v in range(self.g.n):
-            if self.alive[v] and self.deg[v] > best_d:
-                best_v, best_d = v, self.deg[v]
-        return best_v, best_d
-
-    def avg_degree_ceil(self) -> int:
-        return -(-self.sum_deg // self.n_alive)
-
-    def alive_vertices(self) -> list[int]:
-        return [v for v in range(self.g.n) if self.alive[v]]
+    The heap holds one entry (-d, v) per live vertex, with d at least v's
+    live degree.  An entry whose d is stale is re-keyed when it reaches the
+    top; an exact entry on top has the maximum degree and, among those, the
+    smallest index.  The whole order costs O(m log n).
+    """
+    deg = g.degrees()
+    n_alive, sum_deg = g.n, sum(deg)
+    heap = [(-d, v) for v, d in enumerate(deg)]
+    heapq.heapify(heap)
+    while heap:
+        neg_d, v = heap[0]
+        if deg[v] != -neg_d:
+            heapq.heapreplace(heap, (-deg[v], v))
+            continue
+        heapq.heappop(heap)
+        yield v, deg[v], n_alive, sum_deg, deg
+        n_alive -= 1
+        sum_deg -= 2 * deg[v]
+        deg[v] = -1
+        for u in g.neighbors(v):
+            if deg[u] >= 0:
+                deg[u] -= 1
 
 
 def lovasz_partition(
@@ -169,6 +168,34 @@ def _lovasz_equal_traced(g: Graph, k: int) -> tuple[Partition, RunTrace]:
     return lovasz_partition(g, [k] * t)
 
 
+def _partition_step(
+    g: Graph, deleted: list[int], k: int, trace: RunTrace
+) -> WitnessSet:
+    """Run the equal-capacity partition on the subgraph left after
+    `deleted`, merge its trace, and return the largest class mapped back to
+    original indices."""
+    gone = set(deleted)
+    sub, mapping = induced_subgraph(g, (v for v in range(g.n) if v not in gone))
+    part, sub_trace = _lovasz_equal_traced(sub, k)
+    trace.steps.extend(sub_trace.steps)
+    trace.potential_values.extend(sub_trace.potential_values)
+    trace.steps.append(("PARTITION", len(part.classes)))
+    chosen = part.largest_class()
+    return WitnessSet(tuple(sorted(mapping[v] for v in chosen)), k)
+
+
+def lovasz_largest_class(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
+    """Largest class of the equal-capacity partition of G, which holds at
+    least n / ceil((max_degree+1)/(k+1)) vertices.
+    """
+    if k < 0:
+        raise GraphError(f"k must be nonnegative, got {k}")
+    trace = RunTrace()
+    if g.n == 0:
+        return WitnessSet((), k), trace
+    return _partition_step(g, [], k, trace), trace
+
+
 def caro_tuza_greedy(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
     """Delete max-degree vertices until the rest induces max degree <= k.
 
@@ -179,46 +206,28 @@ def caro_tuza_greedy(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
     if k < 0:
         raise GraphError(f"k must be nonnegative, got {k}")
     trace = RunTrace()
-    work = _Work(g)
     if g.n == 0:
         return WitnessSet((), k), trace
 
     # Exact potential tracking over a common denominator: w[d] = f_k(d)*scale.
-    max_deg = max(work.deg)
-    values = [potential_f(k, d) for d in range(max_deg + 1)]
+    values = [potential_f(k, d) for d in range(g.max_degree() + 1)]
     scale = math.lcm(*(v.denominator for v in values))
     w = [int(v * scale) for v in values]
-    s = sum(w[d] for d in work.deg)
+    s = sum(w[d] for d in g.degrees())
     trace.potential_values.append(Fraction(s, scale))
 
-    while True:
-        v, d = work.max_degree_vertex()
+    for v, d, _, _, deg in _peel(g):
         if d <= k:
             break
         s_new = s - w[d]
         for u in g.neighbors(v):
-            if work.alive[u]:
-                s_new += w[work.deg[u] - 1] - w[work.deg[u]]
+            if deg[u] >= 0:
+                s_new += w[deg[u] - 1] - w[deg[u]]
         assert s_new >= s, "deletion potential decreased"
         s = s_new
-        work.delete(v)
         trace.steps.append(("DEL", v, d))
         trace.potential_values.append(Fraction(s, scale))
-    return WitnessSet(tuple(work.alive_vertices()), k), trace
-
-
-def _partition_step(
-    g: Graph, work: _Work, k: int, trace: RunTrace
-) -> WitnessSet:
-    """Run the equal-capacity partition on the live subgraph, merge its
-    trace, and return the largest class mapped back to original indices."""
-    sub, mapping = induced_subgraph(g, work.alive_vertices())
-    part, sub_trace = _lovasz_equal_traced(sub, k)
-    trace.steps.extend(sub_trace.steps)
-    trace.potential_values.extend(sub_trace.potential_values)
-    trace.steps.append(("PARTITION", len(part.classes)))
-    chosen = part.largest_class()
-    return WitnessSet(tuple(sorted(mapping[v] for v in chosen)), k)
+    return WitnessSet(tuple(u for u, du in enumerate(deg) if du >= 0), k), trace
 
 
 def algorithm1(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
@@ -232,26 +241,26 @@ def algorithm1(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
     trace = RunTrace()
     if g.n == 0:
         return WitnessSet((), k), trace
-    work = _Work(g)
-    while True:
-        v, d = work.max_degree_vertex()
-        if d <= work.avg_degree_ceil() + k:
-            return _partition_step(g, work, k, trace), trace
+    deleted = []
+    for v, d, n_alive, sum_deg, _ in _peel(g):
+        if d <= -(-sum_deg // n_alive) + k:
+            break
         trace.steps.append(("DEL", v, d))
-        work.delete(v)
+        deleted.append(v)
+    return _partition_step(g, deleted, k, trace), trace
 
 
 def algorithm2(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
     """Max-degree deletion trajectory, partitioned at its best state.
 
-    Pass one walks the deletion trajectory (repeatedly removing the
-    max-degree vertex, smallest index on ties) and predicts, for every
-    intermediate graph, the class size ceil(n'/t') that the equal-capacity
-    partition guarantees there, with t' = ceil((max_degree'+1)/(k+1)).
-    Pass two replays the deletions up to the earliest state with the best
-    prediction and partitions that graph.  Restart records are emitted
-    whenever ceil(avg degree) drops below the value frozen at the previous
-    record, so at most ceil(d(G))+1 rounds appear in the trace.
+    One pass over the deletion order (repeatedly removing the max-degree
+    vertex, smallest index on ties) records every intermediate graph and
+    predicts there the class size ceil(n'/t') that the equal-capacity
+    partition guarantees, with t' = ceil((max_degree'+1)/(k+1)).  The
+    earliest state with the best prediction is partitioned; the deletions
+    before it are logged.  Restart records are emitted whenever ceil(avg
+    degree) drops below the value frozen at the previous record, so at most
+    ceil(d(G))+1 rounds appear in the trace.
 
     The output size is at least ceil((k+1) n / (ceil(d(G))+k+1)).  It also
     never falls below the deletion greedy's certificate: the greedy's
@@ -264,33 +273,16 @@ def algorithm2(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
     if g.n == 0:
         return WitnessSet((), k), trace
 
-    best_value, best_state = 0, 0
-    scan = _Work(g)
-    state = 0
-    while scan.n_alive > 0:
-        v, deg = scan.max_degree_vertex()
-        classes = -((deg + 1) // -(k + 1))
-        predicted = -(-scan.n_alive // classes)
-        if predicted > best_value:
-            best_value, best_state = predicted, state
-        scan.delete(v)
-        state += 1
-
-    work = _Work(g)
+    states = [(v, d, n_alive, sum_deg) for v, d, n_alive, sum_deg, _ in _peel(g)]
+    predicted = [-(-n_alive // -((d + 1) // -(k + 1))) for _, d, n_alive, _ in states]
+    best = predicted.index(max(predicted))
     round_d: int | None = None
-    for _ in range(best_state):
-        d = work.avg_degree_ceil()
+    for i, (v, deg, n_alive, sum_deg) in enumerate(states[: best + 1]):
+        d = -(-sum_deg // n_alive)
         if round_d is None or d < round_d:
             round_d = d
-            t = residue_t(k, round_d)
-            q = -(-work.n_alive // (round_d + 2 * t + 1))
-            trace.steps.append(("RESTART", round_d, t, q))
-        v, deg = work.max_degree_vertex()
-        trace.steps.append(("DEL", v, deg))
-        work.delete(v)
-    d = work.avg_degree_ceil()
-    if round_d is None or d < round_d:
-        t = residue_t(k, d)
-        q = -(-work.n_alive // (d + 2 * t + 1))
-        trace.steps.append(("RESTART", d, t, q))
-    return _partition_step(g, work, k, trace), trace
+            t = residue_t(k, d)
+            trace.steps.append(("RESTART", d, t, -(-n_alive // (d + 2 * t + 1))))
+        if i < best:
+            trace.steps.append(("DEL", v, deg))
+    return _partition_step(g, [v for v, *_ in states[:best]], k, trace), trace

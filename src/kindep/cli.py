@@ -110,12 +110,8 @@ def _run_algo(g: Graph, k: int, algo: str):
         guarantee = bounds.main_bound(g, k) if g.n else Fraction(0)
         return witness, trace, guarantee, math.ceil(guarantee), False
     if algo == "lovasz":
-        if g.n == 0:
-            return oracle.WitnessSet((), k), algorithms.RunTrace(), Fraction(0), 0, False
-        part, trace = algorithms._lovasz_equal_traced(g, k)
-        trace.steps.append(("PARTITION", len(part.classes)))
-        witness = oracle.WitnessSet(tuple(sorted(part.largest_class())), k)
-        guarantee = bounds.hopkins_staton(g, k)
+        witness, trace = algorithms.lovasz_largest_class(g, k)
+        guarantee = bounds.hopkins_staton(g, k) if g.n else Fraction(0)
         return witness, trace, guarantee, math.ceil(guarantee), False
     raise GraphError(f"unknown algorithm '{algo}'")
 

@@ -55,7 +55,7 @@ def read_edge_list(stream: TextIO) -> Graph:
 
 
 def read_dimacs(stream: TextIO) -> Graph:
-    n = None
+    n = m = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(stream, start=1):
         line = raw.strip()
@@ -68,9 +68,9 @@ def read_dimacs(stream: TextIO) -> Graph:
             if len(parts) < 4 or parts[1] not in ("edge", "col"):
                 raise GraphFormatError(f"line {lineno}: expected 'p edge n m'")
             try:
-                n = int(parts[2])
+                n, m = int(parts[2]), int(parts[3])
             except ValueError:
-                raise GraphFormatError(f"line {lineno}: non-integer order") from None
+                raise GraphFormatError(f"line {lineno}: non-integer header") from None
         elif parts[0] == "e":
             if n is None:
                 raise GraphFormatError(f"line {lineno}: edge before problem line")
@@ -85,6 +85,8 @@ def read_dimacs(stream: TextIO) -> Graph:
             raise GraphFormatError(f"line {lineno}: unknown record '{parts[0]}'")
     if n is None:
         raise GraphFormatError("missing 'p edge n m' line")
+    if len(edges) != m:
+        raise GraphFormatError(f"header announced {m} edges, file has {len(edges)}")
     try:
         return build(n, edges)
     except ValueError as exc:

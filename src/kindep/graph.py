@@ -9,6 +9,7 @@ values; no floats appear anywhere.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -86,6 +87,18 @@ class Graph:
         return f"Graph(n={self.n}, e={self.edge_count()})"
 
 
+@dataclass(frozen=True)
+class WitnessSet:
+    """A vertex set together with the k it certifies."""
+
+    vertices: tuple[int, ...]
+    k: int
+
+    @property
+    def size(self) -> int:
+        return len(self.vertices)
+
+
 def build(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from a vertex count and an edge list.
 
@@ -103,21 +116,6 @@ def build(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         adj[u].add(v)
         adj[v].add(u)
     return Graph(n, [frozenset(s) for s in adj])
-
-
-def from_adjacency(adjacency: Sequence[Iterable[int]]) -> Graph:
-    """Internal-ish constructor from a full adjacency listing (validated)."""
-    n = len(adjacency)
-    sets = [frozenset(s) for s in adjacency]
-    for v, s in enumerate(sets):
-        for u in s:
-            if not 0 <= u < n:
-                raise GraphError(f"neighbor {u} of {v} out of range")
-            if u == v:
-                raise GraphError(f"self-loop at vertex {v}")
-            if v not in sets[u]:
-                raise GraphError(f"adjacency not symmetric at ({v}, {u})")
-    return Graph(n, sets)
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

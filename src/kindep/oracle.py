@@ -9,9 +9,8 @@ enough to audit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .graph import Graph, GraphError, induced_subgraph, verify_k_independent
+from . import algorithms
+from .graph import Graph, GraphError, WitnessSet, induced_subgraph, verify_k_independent
 
 DEFAULT_ALPHA_LIMIT = 40
 DEFAULT_CHI_LIMIT = 20
@@ -20,18 +19,6 @@ _BRUTEFORCE_CAP = 18
 
 class OracleLimitError(GraphError):
     """The instance exceeds the configured exhaustive-search limit."""
-
-
-@dataclass(frozen=True)
-class WitnessSet:
-    """A vertex set together with the k it certifies."""
-
-    vertices: tuple[int, ...]
-    k: int
-
-    @property
-    def size(self) -> int:
-        return len(self.vertices)
 
 
 def _adjacency_masks(g: Graph) -> list[int]:
@@ -130,8 +117,6 @@ def alpha_k_exact(
     if g.n == 0:
         return 0, WitnessSet((), k)
 
-    from .algorithms import caro_tuza_greedy
-
     masks = _adjacency_masks(g)
     chosen: list[int] = []
     for comp in _components(g):
@@ -139,7 +124,7 @@ def alpha_k_exact(
         for v in comp:
             comp_mask |= 1 << v
         sub, mapping = induced_subgraph(g, comp)
-        seed_set, _ = caro_tuza_greedy(sub, k)
+        seed_set, _ = algorithms.caro_tuza_greedy(sub, k)
         seed_mask = 0
         for v in seed_set.vertices:
             seed_mask |= 1 << mapping[v]

@@ -11,6 +11,7 @@ from kindep.algorithms import (
     algorithm2,
     caro_tuza_greedy,
     lovasz_equal,
+    lovasz_largest_class,
     lovasz_partition,
 )
 from kindep.bounds import caro_tuza_sum, main_bound, thm_first_approach_bound
@@ -18,6 +19,7 @@ from kindep.generators import complete, j_graph, star, thm12_2
 from kindep.graph import (
     GraphError,
     build,
+    copies,
     disjoint_union,
     induced_subgraph,
     verify_k_independent,
@@ -261,3 +263,60 @@ class TestDeterminism:
                 for algo in (caro_tuza_greedy, algorithm1, algorithm2):
                     ws, _ = algo(g, k)
                     assert ws.size <= alpha
+
+
+def naive_deletion_order(g) -> list[tuple[int, int]]:
+    """(vertex, live degree) pairs of the max-degree deletion order, found by
+    rescanning every live vertex at each step, smallest index on ties."""
+    deg = g.degrees()
+    alive = [True] * g.n
+    order = []
+    for _ in range(g.n):
+        v = max((u for u in range(g.n) if alive[u]), key=lambda u: (deg[u], -u))
+        order.append((v, deg[v]))
+        alive[v] = False
+        for u in g.neighbors(v):
+            deg[u] -= 1
+    return order
+
+
+class TestDeletionOrder:
+    @staticmethod
+    def assert_prefixes(g, k):
+        order = naive_deletion_order(g)
+        for algo in (caro_tuza_greedy, algorithm1, algorithm2):
+            _, trace = algo(g, k)
+            dels = [(s[1], s[2]) for s in trace.steps if s[0] == "DEL"]
+            assert dels == order[: len(dels)], (algo.__name__, g, k)
+
+    def test_prefix_of_reference_on_corpus(self, corpus200):
+        for g in corpus200:
+            for k in range(4):
+                self.assert_prefixes(g, k)
+
+    @pytest.mark.parametrize(
+        "g",
+        [complete(7), star(9), j_graph(10), copies(3, petersen())],
+        ids=["complete7", "star9", "j10", "3petersen"],
+    )
+    def test_prefix_of_reference_on_ties(self, g):
+        for k in range(4):
+            self.assert_prefixes(g, k)
+
+
+class TestLovaszLargestClass:
+    def test_largest_class_of_equal_partition(self):
+        g = petersen()
+        witness, trace = lovasz_largest_class(g, 1)
+        part = lovasz_equal(g, 1)
+        assert witness.vertices == tuple(sorted(part.largest_class()))
+        assert witness.k == 1 and verify_k_independent(g, witness.vertices, 1)
+        assert trace.steps[-1] == ("PARTITION", len(part.classes))
+
+    def test_empty_graph(self):
+        witness, trace = lovasz_largest_class(build(0, []), 2)
+        assert witness.vertices == () and trace.to_log() == ""
+
+    def test_negative_k(self):
+        with pytest.raises(GraphError):
+            lovasz_largest_class(petersen(), -1)

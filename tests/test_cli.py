@@ -127,6 +127,18 @@ class TestRun:
             )
             assert code == 0 and "PASS" in out
 
+    def test_lovasz_on_empty_graph(self, capsys, tmp_path):
+        f = tmp_path / "empty.txt"
+        f.write_text("0 0\n")
+        log = tmp_path / "run.log"
+        code, out, _ = run_cli(
+            capsys, "run", "--file", str(f), "--k", "1", "--algo", "lovasz",
+            "--trace", str(log),
+        )
+        assert code == 0
+        assert out == "algo=lovasz k=1 size=0 guarantee=0/1 need>=0 verify=PASS\n"
+        assert log.read_text() == ""
+
 
 class TestExact:
     def test_j6(self, capsys):
@@ -277,6 +289,12 @@ class TestErrors:
         f.write_text("3 1\n0 x\n")
         code, _, err = run_cli(capsys, "bound", "--file", str(f), "--k", "0")
         assert code == 2 and "line 2" in err
+
+    def test_dimacs_edge_count_mismatch(self, capsys, tmp_path):
+        f = tmp_path / "bad.col"
+        f.write_text("p edge 3 5\ne 1 2\ne 1 2\n")
+        code, _, err = run_cli(capsys, "bound", "--file", str(f), "--k", "0")
+        assert code == 2 and "announced 5 edges" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "bound", "--file", "/nonexistent", "--k", "0")

@@ -246,6 +246,18 @@ class TestFormats:
         with pytest.raises(GraphFormatError, match="announced"):
             read_edge_list(io.StringIO("3 2\n0 1\n"))
 
+    def test_edge_list_duplicate_edge_counts_as_announced(self):
+        with pytest.raises(GraphFormatError, match="announced 5 edges, file has 2"):
+            read_edge_list(io.StringIO("3 5\n0 1\n0 1\n"))
+
+    def test_dimacs_edge_count_mismatch(self):
+        with pytest.raises(GraphFormatError, match="announced 5 edges, file has 2"):
+            read_dimacs(io.StringIO("p edge 3 5\ne 1 2\ne 1 2\n"))
+
+    def test_dimacs_non_integer_edge_count(self):
+        with pytest.raises(GraphFormatError, match="line 1"):
+            read_dimacs(io.StringIO("p edge 3 x\ne 1 2\n"))
+
     def test_dimacs_one_based(self):
         text = "c sample\np edge 3 2\ne 1 2\ne 2 3\n"
         g = read_dimacs(io.StringIO(text))
