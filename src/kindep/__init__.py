@@ -33,6 +33,7 @@ from .bounds import (
     witness_ratio,
 )
 from .graph import (
+    CertificateError,
     Graph,
     GraphError,
     build,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bounds import potential_f, residue_t
-from .graph import Graph, GraphError, WitnessSet, induced_subgraph
+from .graph import CertificateError, Graph, GraphError, WitnessSet, induced_subgraph
 
 
 @dataclass
@@ -126,7 +126,8 @@ def lovasz_partition(
         i = cls[v]
         j = min(range(t), key=lambda c: (deg_in[v][c] * weight[c], c))
         # Pigeonhole step: a strictly better class always exists.
-        assert deg_in[v][j] * weight[j] < deg_in[v][i] * weight[i]
+        if deg_in[v][j] * weight[j] >= deg_in[v][i] * weight[i]:
+            raise CertificateError(f"no strictly better class for vertex {v}")
         phi += deg_in[v][j] * weight[j] - deg_in[v][i] * weight[i]
         cls[v] = j
         for u in g.neighbors(v):
@@ -149,9 +150,10 @@ def lovasz_partition(
     part = Partition(tuple(tuple(c) for c in classes), caps)
     for c, cap in zip(part.classes, part.capacities):
         members = set(c)
-        assert all(
+        if not all(
             sum(1 for u in g.neighbor_set(v) if u in members) <= cap for v in c
-        )
+        ):
+            raise CertificateError(f"a partition class exceeds its capacity {cap}")
     return part, trace
 
 
@@ -201,7 +203,7 @@ def caro_tuza_greedy(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
 
     The returned set B satisfies |B| >= ceil(sum of f_k over the degree
     sequence); the trace records s(B) after every deletion and the run
-    asserts it never drops.
+    checks it never drops.
     """
     if k < 0:
         raise GraphError(f"k must be nonnegative, got {k}")
@@ -223,7 +225,8 @@ def caro_tuza_greedy(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
         for u in g.neighbors(v):
             if deg[u] >= 0:
                 s_new += w[deg[u] - 1] - w[deg[u]]
-        assert s_new >= s, "deletion potential decreased"
+        if s_new < s:
+            raise CertificateError("deletion potential decreased")
         s = s_new
         trace.steps.append(("DEL", v, d))
         trace.potential_values.append(Fraction(s, scale))

@@ -4,9 +4,10 @@ Subcommands: gen, bound, run, exact, verify, table, bench.  Machine-readable
 output (json, csv) renders every rational as an exact "p/q" string and is
 byte-identical across runs for a fixed configuration.
 
-Exit codes: 0 success, 2 parse or configuration error, 3 guarantee
-violation (an algorithm's output failed its own certified bound, which
-signals an implementation bug rather than bad input).
+Exit codes: 0 success, 2 parse or configuration error or a search too deep
+or too large for memory (lower --limit), 3 guarantee violation (an output
+failed its certified bound or a CertificateError was raised, which signals
+an implementation bug rather than bad input).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 
 from . import algorithms, bounds, formats, generators, oracle
 from .bounds import frac_str
-from .graph import Graph, GraphError, verify_k_independent
+from .graph import CertificateError, Graph, GraphError, verify_k_independent
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -53,108 +54,92 @@ def _load_source(args: argparse.Namespace) -> Graph:
     raise GraphError("a graph source is required (--file or --family)")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
+def _write(args, doc, text, header=(), rows=(), footer="", out=None) -> None:
+    """Write one result in args.format to `out` or stdout: json dumps `doc`,
+    csv writes `header`, `rows` and then `footer`, and text writes `text`."""
+    fmt = getattr(args, "format", "text")
+    if fmt == "json":
+        body = json.dumps(doc, sort_keys=True) + "\n"
+    elif fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        body = buf.getvalue() + footer
     else:
-        sys.stdout.write(text)
+        body = text
+    if out:
+        Path(out).write_text(body)
+    else:
+        sys.stdout.write(body)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    spec = generators.parse_family(args.family)
-    g = generators.make_graph(spec, default_seed=args.seed)
-    _emit(formats.dumps_edge_list(g), args.out)
+    g = _load_source(args)
+    _write(args, None, formats.dumps_edge_list(g), out=args.out)
     return EXIT_OK
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     g = _load_source(args)
     report = bounds.bound_report(g, args.k)
-    if args.format == "json":
-        _emit(report.to_json() + "\n", args.out)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["name", "value", "ceil", "applicable", "note"])
-        for r in report.rows:
-            writer.writerow(
-                [
-                    r.name,
-                    r.value_str(),
-                    math.ceil(r.value) if r.value is not None else "",
-                    int(r.applicable),
-                    r.note,
-                ]
-            )
-        _emit(buf.getvalue(), args.out)
-    else:
-        _emit(report.to_text() + "\n", args.out)
+    rows = [
+        [
+            r.name,
+            r.value_str(),
+            math.ceil(r.value) if r.value is not None else "",
+            int(r.applicable),
+            r.note,
+        ]
+        for r in report.rows
+    ]
+    _write(args, report.to_json_dict(), report.to_text() + "\n",
+           ["name", "value", "ceil", "applicable", "note"], rows, out=args.out)
     return EXIT_OK
 
 
-_ALGOS = ("greedy", "alg1", "alg2", "lovasz")
-
-
-def _run_algo(g: Graph, k: int, algo: str):
-    """Returns (witness, trace, guarantee Fraction, needed size, strict?)."""
-    if algo == "greedy":
-        witness, trace = algorithms.caro_tuza_greedy(g, k)
-        guarantee = bounds.caro_tuza_sum(g, k)
-        return witness, trace, guarantee, math.ceil(guarantee), False
-    if algo == "alg1":
-        witness, trace = algorithms.algorithm1(g, k)
-        guarantee = bounds.thm_first_approach_bound(g, k) if g.n else Fraction(0)
-        return witness, trace, guarantee, None, True
-    if algo == "alg2":
-        witness, trace = algorithms.algorithm2(g, k)
-        guarantee = bounds.main_bound(g, k) if g.n else Fraction(0)
-        return witness, trace, guarantee, math.ceil(guarantee), False
-    if algo == "lovasz":
-        witness, trace = algorithms.lovasz_largest_class(g, k)
-        guarantee = bounds.hopkins_staton(g, k) if g.n else Fraction(0)
-        return witness, trace, guarantee, math.ceil(guarantee), False
-    raise GraphError(f"unknown algorithm '{algo}'")
+# algo -> (algorithms function, bounds function giving its guarantee, strict?).
+# The functions are looked up by name at call time, so a wrapped module
+# attribute (as in a traced benchmark run) sees the call.
+_ALGOS = {
+    "greedy": ("caro_tuza_greedy", "caro_tuza_sum", False),
+    "alg1": ("algorithm1", "thm_first_approach_bound", True),
+    "alg2": ("algorithm2", "main_bound", False),
+    "lovasz": ("lovasz_largest_class", "hopkins_staton", False),
+}
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     g = _load_source(args)
-    witness, trace, guarantee, needed, strict = _run_algo(g, args.k, args.algo)
-    ok_bound = (
-        witness.size > guarantee if strict else witness.size >= (needed or 0)
-    )
+    algo_name, bound_name, strict = _ALGOS[args.algo]
+    witness, trace = getattr(algorithms, algo_name)(g, args.k)
+    guarantee = getattr(bounds, bound_name)(g, args.k) if g.n else Fraction(0)
+    needed = None if strict else math.ceil(guarantee)
+    ok_bound = witness.size > guarantee if strict else witness.size >= needed
     ok_verify = verify_k_independent(g, witness.vertices, args.k)
     if args.trace:
         Path(args.trace).write_text(trace.to_log())
     if args.out:
-        Path(args.out).write_text(
-            " ".join(str(v) for v in witness.vertices) + "\n"
-        )
+        Path(args.out).write_text(" ".join(str(v) for v in witness.vertices) + "\n")
     status = "PASS" if (ok_bound and ok_verify) else "FAIL"
-    if args.format == "json":
-        doc = {
-            "algo": args.algo,
-            "k": args.k,
-            "size": witness.size,
-            "guarantee": frac_str(guarantee),
-            "guarantee_strict": strict,
-            "needed": needed if not strict else None,
-            "k_independent": ok_verify,
-            "status": status,
-            "vertices": list(witness.vertices),
-        }
-        sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["algo", "k", "size", "guarantee", "status"])
-        writer.writerow([args.algo, args.k, witness.size, frac_str(guarantee), status])
-        sys.stdout.write(buf.getvalue())
-    else:
-        need = f">{frac_str(guarantee)}" if strict else f">={needed}"
-        sys.stdout.write(
-            f"algo={args.algo} k={args.k} size={witness.size} "
-            f"guarantee={frac_str(guarantee)} need{need} verify={status}\n"
-        )
+    doc = {
+        "algo": args.algo,
+        "k": args.k,
+        "size": witness.size,
+        "guarantee": frac_str(guarantee),
+        "guarantee_strict": strict,
+        "needed": needed,
+        "k_independent": ok_verify,
+        "status": status,
+        "vertices": list(witness.vertices),
+    }
+    need = f">{frac_str(guarantee)}" if strict else f">={needed}"
+    text = (
+        f"algo={args.algo} k={args.k} size={witness.size} "
+        f"guarantee={frac_str(guarantee)} need{need} verify={status}\n"
+    )
+    _write(args, doc, text, ["algo", "k", "size", "guarantee", "status"],
+           [[args.algo, args.k, witness.size, frac_str(guarantee), status]])
     return EXIT_OK if status == "PASS" else EXIT_GUARANTEE
 
 
@@ -162,21 +147,13 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     g = _load_source(args)
     if args.chi:
         chi = oracle.chi_k_exact(g, args.k, limit=args.limit)
-        if args.format == "json":
-            sys.stdout.write(
-                json.dumps({"chi": chi, "k": args.k, "n": g.n}, sort_keys=True) + "\n"
-            )
-        else:
-            sys.stdout.write(f"{chi}\n")
+        _write(args, {"chi": chi, "k": args.k, "n": g.n}, f"{chi}\n")
         return EXIT_OK
     alpha, witness = oracle.alpha_k_exact(g, args.k, limit=args.limit)
     if args.out:
         Path(args.out).write_text(" ".join(str(v) for v in witness.vertices) + "\n")
-    if args.format == "json":
-        doc = {"alpha": alpha, "k": args.k, "n": g.n, "vertices": list(witness.vertices)}
-        sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(f"{alpha}\n")
+    doc = {"alpha": alpha, "k": args.k, "n": g.n, "vertices": list(witness.vertices)}
+    _write(args, doc, f"{alpha}\n")
     return EXIT_OK
 
 
@@ -188,58 +165,36 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except ValueError:
         raise GraphError(f"set file {args.set} must contain integers") from None
     result = verify_k_independent(g, vertices, args.k)
-    if args.format == "json":
-        sys.stdout.write(json.dumps({"k_independent": result}) + "\n")
-    else:
-        sys.stdout.write(("true" if result else "false") + "\n")
+    _write(args, {"k_independent": result}, ("true" if result else "false") + "\n")
     return EXIT_OK
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    rows = bounds.table_f2(limit=args.limit)
-    if args.format == "json":
-        doc = [
-            {
-                "d": r.d,
-                "lower": frac_str(r.lower),
-                "upper": frac_str(r.upper),
-                "witness": r.witness,
-                "alpha": r.alpha,
-                "n": r.n,
-                "discrepancy": r.discrepancy,
-            }
-            for r in rows
-        ]
-        _emit(json.dumps(doc, sort_keys=True) + "\n", args.out)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["d", "lower", "upper", "witness", "alpha", "n", "discrepancy"])
-        for r in rows:
-            writer.writerow(
-                [r.d, frac_str(r.lower), frac_str(r.upper), r.witness, r.alpha, r.n,
-                 r.discrepancy or ""]
-            )
-        _emit(buf.getvalue(), args.out)
-    else:
-        lines = ["  d  lower   upper   witness (alpha_2/n)"]
-        for r in rows:
-            note = f"   ! {r.discrepancy}" if r.discrepancy else ""
-            lines.append(
-                f"{r.d:>3}  {frac_str(r.lower):<6}  {frac_str(r.upper):<6}  "
-                f"{r.witness} ({r.alpha}/{r.n}){note}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+    header = ["d", "lower", "upper", "witness", "alpha", "n", "discrepancy"]
+    rows, lines = [], ["  d  lower   upper   witness (alpha_2/n)"]
+    for r in bounds.table_f2(limit=args.limit):
+        # csv writes a None discrepancy as an empty cell, json as null.
+        rows.append([r.d, frac_str(r.lower), frac_str(r.upper), r.witness, r.alpha,
+                     r.n, r.discrepancy])
+        note = f"   ! {r.discrepancy}" if r.discrepancy else ""
+        lines.append(
+            f"{r.d:>3}  {frac_str(r.lower):<6}  {frac_str(r.upper):<6}  "
+            f"{r.witness} ({r.alpha}/{r.n}){note}"
+        )
+    _write(args, [dict(zip(header, row)) for row in rows], "\n".join(lines) + "\n",
+           header, rows, out=args.out)
     return EXIT_OK
 
 
-def _bench_rows(args: argparse.Namespace) -> tuple[list[list], dict]:
+def _cmd_bench(args: argparse.Namespace) -> int:
+    if args.reps < 1:
+        raise GraphError(f"reps must be at least 1, got {args.reps}")
     spec = generators.parse_family(args.family)
     base_seed = spec.seed if spec.seed is not None else args.seed
     if spec.family == "gnm" and base_seed is None:
         raise GraphError("bench over gnm needs a base seed")
     rows = []
-    ratios_alg2, ratios_ct, ratios_main = [], [], []
+    ratios = []  # (alg2 size, Caro-Tuza sum, main bound) over alpha_k
     for i in range(args.reps):
         if spec.family == "gnm":
             inst_seed = base_seed + i
@@ -256,9 +211,7 @@ def _bench_rows(args: argparse.Namespace) -> tuple[list[list], dict]:
         if g.n <= limit:
             alpha, _ = oracle.alpha_k_exact(g, args.k, limit=limit)
             alpha_cell: int | str = alpha
-            ratios_alg2.append(Fraction(witness.size, alpha))
-            ratios_ct.append(ct / alpha)
-            ratios_main.append(main_b / alpha)
+            ratios.append((Fraction(witness.size, alpha), ct / alpha, main_b / alpha))
         else:
             alpha_cell = ""
         rows.append(
@@ -275,35 +228,12 @@ def _bench_rows(args: argparse.Namespace) -> tuple[list[list], dict]:
                 alpha_cell,
             ]
         )
-    summary = {"instances": args.reps, "with_oracle": len(ratios_alg2)}
-    if ratios_alg2:
-        m = len(ratios_alg2)
-        summary["mean_alg2_over_alpha"] = frac_str(sum(ratios_alg2) / m)
-        summary["mean_caro_tuza_over_alpha"] = frac_str(sum(ratios_ct) / m)
-        summary["mean_main_bound_over_alpha"] = frac_str(sum(ratios_main) / m)
-    return rows, summary
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.reps < 1:
-        raise GraphError(f"reps must be at least 1, got {args.reps}")
-    rows, summary = _bench_rows(args)
-    if args.format == "json":
-        doc = {
-            "columns": BENCH_COLUMNS,
-            "rows": [[("" if c == "" else c) for c in row] for row in rows],
-            "summary": summary,
-        }
-        _emit(json.dumps(doc, sort_keys=True) + "\n", args.out)
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(BENCH_COLUMNS)
-        for row in rows:
-            writer.writerow(row)
-        for key in sorted(summary):
-            buf.write(f"# {key}={summary[key]}\n")
-        _emit(buf.getvalue(), args.out)
+    summary = {"instances": args.reps, "with_oracle": len(ratios)}
+    for name, column in zip(("alg2", "caro_tuza", "main_bound"), zip(*ratios)):
+        summary[f"mean_{name}_over_alpha"] = frac_str(sum(column) / len(ratios))
+    footer = "".join(f"# {key}={summary[key]}\n" for key in sorted(summary))
+    doc = {"columns": BENCH_COLUMNS, "rows": rows, "summary": summary}
+    _write(args, doc, "", BENCH_COLUMNS, rows, footer, out=args.out)
     return EXIT_OK
 
 
@@ -323,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate a graph file")
     add_source(p_gen, family_only=True)
     p_gen.add_argument("--out", help="output path (default stdout)")
-    p_gen.set_defaults(func=_cmd_gen, family_required=True)
+    p_gen.set_defaults(func=_cmd_gen)
 
     p_bound = sub.add_parser("bound", help="lower bounds on alpha_k")
     add_source(p_bound)
@@ -387,6 +317,13 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphError, formats.GraphFormatError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
+    except (RecursionError, MemoryError) as exc:
+        sys.stderr.write(f"error: the search ran out of stack or memory ({type(exc).__name__});"
+                         " use a smaller graph or a lower --limit\n")
+        return EXIT_CONFIG
+    except CertificateError as exc:
+        sys.stderr.write(f"error: certificate check failed: {exc}\n")
+        return EXIT_GUARANTEE
 
 
 if __name__ == "__main__":

@@ -172,18 +172,21 @@ class FamilySpec:
         return self.family + (":" + ",".join(parts) if parts else "")
 
 
-_FAMILY_PARAMS = {
-    "complete": ("n",),
-    "j": ("n",),
-    "complete_minus_clique": ("n", "q"),
-    "complete_minus_cycle": ("n",),
-    "star": ("m",),
-    "r8": (),
-    "thm14_5": ("d", "q"),
-    "thm14_6": ("k",),
-    "thm12_2": ("k",),
-    "thm10_odd": ("d",),
-    "gnm": ("n", "m"),
+# family -> (parameter names, constructor).  blend and gnm are built in
+# make_graph: blend from two sub-specs, gnm with a seed and by calling the
+# module-global random_gnm, so a wrapped random_gnm sees every call.
+_FAMILIES = {
+    "complete": (("n",), complete),
+    "j": (("n",), j_graph),
+    "complete_minus_clique": (("n", "q"), complete_minus_clique),
+    "complete_minus_cycle": (("n",), complete_minus_cycle),
+    "star": (("m",), star),
+    "r8": ((), wagner_r8),
+    "thm14_5": (("d", "q"), thm14_5),
+    "thm14_6": (("k",), thm14_6),
+    "thm12_2": (("k",), thm12_2),
+    "thm10_odd": (("d",), thm10_odd),
+    "gnm": (("n", "m"), None),
 }
 
 
@@ -198,9 +201,9 @@ def parse_family(text: str) -> FamilySpec:
         if len(halves) != 2:
             raise GraphError("blend takes exactly two '+'-separated specs")
         return FamilySpec("blend", sub_specs=tuple(parse_family(h) for h in halves))
-    if name not in _FAMILY_PARAMS:
+    if name not in _FAMILIES:
         raise GraphError(f"unknown family '{name}'")
-    names = _FAMILY_PARAMS[name]
+    names = _FAMILIES[name][0]
     positional: list[int] = []
     keyed: dict[str, int] = {}
     if rest:
@@ -242,27 +245,6 @@ def parse_family(text: str) -> FamilySpec:
 
 def make_graph(spec: FamilySpec, default_seed: int | None = None) -> Graph:
     """Instantiate a FamilySpec."""
-    p = spec.parameters
-    if spec.family == "complete":
-        return complete(p[0])
-    if spec.family == "j":
-        return j_graph(p[0])
-    if spec.family == "complete_minus_clique":
-        return complete_minus_clique(p[0], p[1])
-    if spec.family == "complete_minus_cycle":
-        return complete_minus_cycle(p[0])
-    if spec.family == "star":
-        return star(p[0])
-    if spec.family == "r8":
-        return wagner_r8()
-    if spec.family == "thm14_5":
-        return thm14_5(p[0], p[1])
-    if spec.family == "thm14_6":
-        return thm14_6(p[0])
-    if spec.family == "thm12_2":
-        return thm12_2(p[0])
-    if spec.family == "thm10_odd":
-        return thm10_odd(p[0])
     if spec.family == "blend":
         g1 = make_graph(spec.sub_specs[0], default_seed)
         g2 = make_graph(spec.sub_specs[1], default_seed)
@@ -271,5 +253,7 @@ def make_graph(spec: FamilySpec, default_seed: int | None = None) -> Graph:
         seed = spec.seed if spec.seed is not None else default_seed
         if seed is None:
             raise GraphError("gnm needs a seed (seed=... or --seed)")
-        return random_gnm(p[0], p[1], seed)
-    raise GraphError(f"unknown family '{spec.family}'")
+        return random_gnm(spec.parameters[0], spec.parameters[1], seed)
+    if spec.family not in _FAMILIES:
+        raise GraphError(f"unknown family '{spec.family}'")
+    return _FAMILIES[spec.family][1](*spec.parameters)

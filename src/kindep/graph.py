@@ -18,6 +18,11 @@ class GraphError(ValueError):
     """A construction or query violated the simple-graph contract."""
 
 
+class CertificateError(Exception):
+    """A result failed its own certificate check: an implementation bug,
+    not bad input, so it is deliberately not a ValueError."""
+
+
 class Graph:
     """Immutable simple undirected graph.
 

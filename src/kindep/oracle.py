@@ -10,7 +10,8 @@ enough to audit.
 from __future__ import annotations
 
 from . import algorithms
-from .graph import Graph, GraphError, WitnessSet, induced_subgraph, verify_k_independent
+from .graph import (CertificateError, Graph, GraphError, WitnessSet, induced_subgraph,
+                    verify_k_independent)
 
 DEFAULT_ALPHA_LIMIT = 40
 DEFAULT_CHI_LIMIT = 20
@@ -137,7 +138,8 @@ def alpha_k_exact(
             best ^= bit
             chosen.append(bit.bit_length() - 1)
     witness = WitnessSet(tuple(sorted(chosen)), k)
-    assert verify_k_independent(g, witness.vertices, k)
+    if not verify_k_independent(g, witness.vertices, k):
+        raise CertificateError("oracle witness is not k-independent")
     return witness.size, witness
 
 
@@ -221,4 +223,4 @@ def chi_k_exact(g: Graph, k: int, limit: int | None = None) -> int:
             own[v] = 0
         if place(0, t, 0):
             return t
-    raise AssertionError("equal-capacity partition bound violated")
+    raise CertificateError("equal-capacity partition bound violated")

@@ -1,10 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from kindep import oracle
 from kindep.cli import main
 from kindep.formats import load_graph
 from kindep.generators import j_graph, make_graph, parse_family
@@ -299,3 +304,43 @@ class TestErrors:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "bound", "--file", "/nonexistent", "--k", "0")
         assert code == 2
+
+
+class TestExitContract:
+    def test_gen_without_family(self, capsys):
+        code, out, err = run_cli(capsys, "gen")
+        assert code == 2 and out == ""
+        assert err == "error: a graph source is required (--file or --family)\n"
+
+    @pytest.mark.parametrize("exc", [RecursionError, MemoryError])
+    def test_deep_search_names_limit(self, capsys, monkeypatch, exc):
+        def boom(*args, **kwargs):
+            raise exc("too deep")
+
+        monkeypatch.setattr(oracle, "alpha_k_exact", boom)
+        code, out, err = run_cli(
+            capsys, "exact", "--family", "complete:5", "--k", "0", "--limit", "2000"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--limit" in err and exc.__name__ in err
+
+    def test_failed_certificate_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "verify_k_independent", lambda *args: False)
+        code, out, err = run_cli(capsys, "exact", "--family", "j:6", "--k", "1")
+        assert code == 3 and out == ""
+        assert err.startswith("error: certificate check failed:")
+
+    def test_failed_certificate_exits_3_under_optimize(self):
+        # Certificates are not asserts, so `python -O` keeps them.
+        script = (
+            "import sys, kindep.oracle as o; from kindep.cli import main; "
+            "o.verify_k_independent = lambda *a: False; "
+            "sys.exit(main(['exact', '--family', 'j:6', '--k', '1']))"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 3 and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: certificate check failed:")
