@@ -112,6 +112,7 @@ _ALGOS = {
 def _cmd_run(args: argparse.Namespace) -> int:
     g = _load_source(args)
     algo_name, bound_name, strict = _ALGOS[args.algo]
+    strict = strict and g.n > 0  # with no vertices every guarantee is >= 0
     witness, trace = getattr(algorithms, algo_name)(g, args.k)
     guarantee = getattr(bounds, bound_name)(g, args.k) if g.n else Fraction(0)
     needed = None if strict else math.ceil(guarantee)

@@ -5,6 +5,13 @@ branch-and-bound (the workhorse, decomposing by connected components) and a
 full subset enumeration (the cross-check for tiny graphs).  Every derived
 quantity in the package ultimately leans on these, so they are kept simple
 enough to audit.
+
+The branch-and-bound walks an explicit stack, so deep searches need no
+recursion, and prunes with a k-aware degree-sum bound (a k-independent set
+of G is a (k+1)-plex of the complement, so k-plex degree bounds apply; see
+`_BranchAndBound`).  Its memo of visited states is capped at `_MEMO_CAP`
+per component; a search that needs more raises OracleLimitError, which the
+CLI reports with exit code 2.  `chi_k_exact` recurses once per vertex.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from .graph import (CertificateError, Graph, GraphError, WitnessSet, induced_sub
 DEFAULT_ALPHA_LIMIT = 40
 DEFAULT_CHI_LIMIT = 20
 _BRUTEFORCE_CAP = 18
+_MEMO_CAP = 2_000_000  # states the alpha_k search may remember per component
 
 
 class OracleLimitError(GraphError):
@@ -59,6 +67,23 @@ class _BranchAndBound:
     omits one of k+1 fixed neighbors of v (keeping all of them would push
     v's degree past k), so branching on those k+2 single-vertex removals
     covers every feasible subset.  Feasible C are records themselves.
+
+    `search` is one depth-first loop over an explicit stack, so depth costs
+    no interpreter stack.  v is the max-degree vertex with the smallest
+    index; removing v is tried first, then removing each of its k+1
+    lowest-index neighbors.  A memo of the states seen skips repeats; past
+    `_MEMO_CAP` states the search raises OracleLimitError.  `nodes` counts
+    the states taken off the stack, repeats included.
+
+    Degree-sum bound, with d(v) the degree of v inside C and
+    need = best_size + 1.  Let S in C be k-independent with |S| = need and
+    R = C - S.  Each v in S has d(v) <= k + |R|, and
+    sum_S (d(v) - k)+ <= e(S, R) <= sum_R d(u), so
+    sum_S [d(v) + (d(v) - k)+] <= sum_C d.  That cost grows with d(v), so
+    C is pruned when the need-th smallest degree exceeds k + |C| - need,
+    or the costs of the need smallest degrees sum past sum_C d.  A pruned
+    state holds no set beating the best, so the search finds the same
+    records in the same order as without the bound.
     """
 
     def __init__(self, masks: list[int], k: int):
@@ -67,6 +92,7 @@ class _BranchAndBound:
         self.best_size = -1
         self.best_mask = 0
         self.visited: set[int] = set()
+        self.nodes = 0
 
     def seed(self, mask: int) -> None:
         size = mask.bit_count()
@@ -74,31 +100,52 @@ class _BranchAndBound:
             self.best_size = size
             self.best_mask = mask
 
-    def search(self, candidates: int) -> None:
-        if candidates in self.visited:
-            return
-        self.visited.add(candidates)
-        size = candidates.bit_count()
-        if size <= self.best_size:
-            return
-        worst_v, worst_d = -1, self.k
-        m = candidates
-        while m:
-            bit = m & -m
-            m ^= bit
-            dv = (self.masks[bit.bit_length() - 1] & candidates).bit_count()
-            if dv > worst_d:
-                worst_v, worst_d = bit.bit_length() - 1, dv
-        if worst_v < 0:
-            self.best_size = size
-            self.best_mask = candidates
-            return
-        self.search(candidates & ~(1 << worst_v))
-        nbrs = self.masks[worst_v] & candidates
-        for _ in range(self.k + 1):
-            bit = nbrs & -nbrs
-            nbrs ^= bit
-            self.search(candidates & ~bit)
+    def search(self, root: int) -> None:
+        masks, k, visited = self.masks, self.k, self.visited
+        memo_cap = _MEMO_CAP
+        verts = [v for v in range(root.bit_length()) if root >> v & 1]
+        stack = [root]
+        while stack:
+            candidates = stack.pop()
+            self.nodes += 1
+            if candidates in visited:
+                continue
+            if len(visited) >= memo_cap:
+                raise OracleLimitError(
+                    f"the search memo passed {memo_cap} states;"
+                    " use a smaller graph or a lower --limit"
+                )
+            visited.add(candidates)
+            size = candidates.bit_count()
+            if size <= self.best_size:
+                continue
+            degrees = []
+            worst_v, worst_d = -1, k
+            for v in verts:
+                if candidates >> v & 1:
+                    dv = (masks[v] & candidates).bit_count()
+                    degrees.append(dv)
+                    if dv > worst_d:
+                        worst_v, worst_d = v, dv
+            if worst_v < 0:
+                self.best_size = size
+                self.best_mask = candidates
+                continue
+            # Degree-sum bound; see the class docstring.
+            need = self.best_size + 1
+            degrees.sort()
+            if degrees[need - 1] > k + size - need:
+                continue
+            low = degrees[:need]
+            if sum(low) + sum(d - k for d in low if d > k) > sum(degrees):
+                continue
+            nbrs = masks[worst_v] & candidates
+            children = [candidates & ~(1 << worst_v)]
+            for _ in range(k + 1):
+                bit = nbrs & -nbrs
+                nbrs ^= bit
+                children.append(candidates & ~bit)
+            stack.extend(reversed(children))
 
 
 def alpha_k_exact(
@@ -108,7 +155,8 @@ def alpha_k_exact(
 
     Branch-and-bound per connected component, seeded with the deletion
     greedy's certified set.  Refuses graphs larger than `limit` (default
-    40) rather than silently running for hours.
+    40) rather than silently running for hours, and raises
+    OracleLimitError when a component's search memo passes `_MEMO_CAP`.
     """
     if k < 0:
         raise GraphError(f"k must be nonnegative, got {k}")

@@ -324,6 +324,27 @@ class TestExitContract:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "--limit" in err and exc.__name__ in err
 
+    def test_deep_clique_search_exits_0(self, capsys):
+        # Far deeper than the interpreter's recursion limit allows a recursive search.
+        code, out, err = run_cli(
+            capsys, "exact", "--family", "complete:1200", "--k", "0", "--limit", "2000"
+        )
+        assert (code, out, err) == (0, "1\n", "")
+
+    def test_memo_cap_names_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "_MEMO_CAP", 5)
+        code, out, err = run_cli(capsys, "exact", "--family", "gnm:n=20,m=60,seed=3", "--k", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--limit" in err and "5 states" in err
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_alg1_on_empty_graph_passes(self, capsys, tmp_path, k):
+        f = tmp_path / "empty.txt"
+        f.write_text("0 0\n")
+        code, out, _ = run_cli(capsys, "run", "--file", str(f), "--k", str(k), "--algo", "alg1")
+        assert code == 0
+        assert out == f"algo=alg1 k={k} size=0 guarantee=0/1 need>=0 verify=PASS\n"
+
     def test_failed_certificate_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(oracle, "verify_k_independent", lambda *args: False)
         code, out, err = run_cli(capsys, "exact", "--family", "j:6", "--k", "1")

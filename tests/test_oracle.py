@@ -1,7 +1,10 @@
 import pytest
 
+from kindep import oracle
+from kindep.algorithms import caro_tuza_greedy
 from kindep.generators import complete, j_graph, random_gnm, star, thm14_6, wagner_r8
-from kindep.graph import GraphError, build, copies, disjoint_union, remove_vertex, verify_k_independent
+from kindep.graph import (GraphError, build, copies, disjoint_union, induced_subgraph,
+                          remove_vertex, verify_k_independent)
 from kindep.oracle import (
     OracleLimitError,
     WitnessSet,
@@ -147,3 +150,109 @@ class TestChiExact:
                 assert feasible_by_enumeration(g, k, chi)
                 if chi > 1:
                     assert not feasible_by_enumeration(g, k, chi - 1)
+
+
+class _FrozenBranchAndBound:
+    """The recursive search as it was before the degree-sum bound, kept as
+    the reference for witnesses and for node counts."""
+
+    def __init__(self, masks, k):
+        self.masks = masks
+        self.k = k
+        self.best_size = -1
+        self.best_mask = 0
+        self.visited = set()
+        self.nodes = 0
+
+    def seed(self, mask):
+        size = mask.bit_count()
+        if size > self.best_size:
+            self.best_size = size
+            self.best_mask = mask
+
+    def search(self, candidates):
+        self.nodes += 1
+        if candidates in self.visited:
+            return
+        self.visited.add(candidates)
+        size = candidates.bit_count()
+        if size <= self.best_size:
+            return
+        worst_v, worst_d = -1, self.k
+        m = candidates
+        while m:
+            bit = m & -m
+            m ^= bit
+            dv = (self.masks[bit.bit_length() - 1] & candidates).bit_count()
+            if dv > worst_d:
+                worst_v, worst_d = bit.bit_length() - 1, dv
+        if worst_v < 0:
+            self.best_size = size
+            self.best_mask = candidates
+            return
+        self.search(candidates & ~(1 << worst_v))
+        nbrs = self.masks[worst_v] & candidates
+        for _ in range(self.k + 1):
+            bit = nbrs & -nbrs
+            nbrs ^= bit
+            self.search(candidates & ~bit)
+
+
+def solve_with(search_class, g, k):
+    """alpha_k_exact's driver around a given search:
+    (alpha, witness, nodes, largest memo of one component)."""
+    masks = oracle._adjacency_masks(g)
+    chosen, nodes, memo = [], 0, 0
+    for comp in oracle._components(g):
+        sub, mapping = induced_subgraph(g, comp)
+        seed_set, _ = caro_tuza_greedy(sub, k)
+        bb = search_class(masks, k)
+        bb.seed(sum(1 << mapping[v] for v in seed_set.vertices))
+        bb.search(sum(1 << v for v in comp))
+        nodes += bb.nodes
+        memo = max(memo, len(bb.visited))
+        chosen += [v for v in comp if bb.best_mask >> v & 1]
+    return len(chosen), tuple(sorted(chosen)), nodes, memo
+
+
+def gnm_cells():
+    return [(random_gnm(n, c * n, 7000 + 10 * n + c), k)
+            for n in range(16, 21) for c in (2, 4, 6) for k in range(3)]
+
+
+class TestAgainstFrozenSearch:
+    def test_corpus_witnesses_identical(self, corpus100):
+        for g in corpus100:
+            for k in range(4):
+                alpha, ws = alpha_k_exact(g, k)
+                assert (alpha, ws.vertices) == solve_with(_FrozenBranchAndBound, g, k)[:2]
+
+    def test_gnm_witnesses_identical(self):
+        for g, k in gnm_cells():
+            alpha, ws = alpha_k_exact(g, k)
+            assert (alpha, ws.vertices) == solve_with(_FrozenBranchAndBound, g, k)[:2]
+
+    def test_bound_halves_nodes(self):
+        g = random_gnm(20, 120, 3)
+        new = solve_with(oracle._BranchAndBound, g, 2)
+        old = solve_with(_FrozenBranchAndBound, g, 2)
+        assert new[:2] == old[:2]
+        assert 2 * new[2] < old[2]
+
+
+class TestMemoCap:
+    def test_cap_raises_limit_error(self, monkeypatch):
+        g = random_gnm(20, 60, 3)
+        monkeypatch.setattr(oracle, "_MEMO_CAP", 5)
+        with pytest.raises(OracleLimitError, match="--limit"):
+            alpha_k_exact(g, 1)
+
+    def test_cap_boundary(self, monkeypatch):
+        g = random_gnm(20, 60, 3)
+        expected = alpha_k_exact(g, 1)
+        memo = solve_with(oracle._BranchAndBound, g, 1)[3]
+        monkeypatch.setattr(oracle, "_MEMO_CAP", memo)
+        assert alpha_k_exact(g, 1) == expected
+        monkeypatch.setattr(oracle, "_MEMO_CAP", memo - 1)
+        with pytest.raises(OracleLimitError):
+            alpha_k_exact(g, 1)
