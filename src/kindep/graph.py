@@ -183,31 +183,52 @@ def remove_edges_of(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
 def girth(g: Graph) -> int | float:
     """Length of a shortest cycle, or math.inf for forests.
 
-    BFS from every vertex; a non-tree edge seen at depths d(u), d(w) closes
-    a walk of length d(u)+d(w)+1 which contains a cycle no longer than that,
-    and for a shortest cycle the BFS rooted on it reports its exact length.
+    The BFS from root s searches only G[>= s], the subgraph on vertices
+    s..n-1.  A non-tree edge (u, w) seen at depths d(u), d(w) closes the
+    walk s..u, w..s of length d(u)+d(w)+1; that walk uses the edge once, so
+    it contains a cycle and no reported value is below the girth.  A
+    shortest cycle C of G whose smallest vertex is s lies entirely in
+    G[>= s] and is a shortest cycle there, so the BFS from s reports exactly
+    |C|.  Hence the minimum over all roots is the girth.
+
+    The sweep stops once 3 is found, since no simple graph has a shorter
+    cycle.  A root's BFS ends at the first u with 2 d(u) >= best: the queue
+    is in depth order, and every later edge closes a walk of length at
+    least 2 d(u).  `dist` and `parent` are allocated once, and only the
+    `dist` entries a root's queue touched are reset, so a root costs
+    O(visited) rather than O(n).  The worst case (no cycle shorter than
+    about n/2, such as a long cycle) is still O(n (n + m)).
     """
+    n = g.n
+    dist = [-1] * n
+    parent = [-1] * n
     best: int | float = math.inf
-    for s in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
+    for s in range(n):
+        if best == 3:
+            break
         dist[s] = 0
         queue = [s]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            if 2 * dist[u] >= best:
-                continue
+        for u in queue:  # the loop also visits vertices appended below
+            du = dist[u]
+            if 2 * du >= best:
+                break
+            pu = parent[u]
             for w in g.neighbors(u):
+                if w < s:
+                    continue
                 if dist[w] < 0:
-                    dist[w] = dist[u] + 1
+                    dist[w] = du + 1
                     parent[w] = u
                     queue.append(w)
-                elif w != parent[u]:
-                    cand = dist[u] + dist[w] + 1
+                elif w != pu:
+                    cand = du + dist[w] + 1
                     if cand < best:
                         best = cand
+        # parent needs no reset: every u after s got its parent from this
+        # root, and while s is scanned all its neighbors are new, so the
+        # `elif` never reads a stale parent[s].
+        for v in queue:
+            dist[v] = -1
     return best
 
 

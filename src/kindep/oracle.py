@@ -223,7 +223,9 @@ def chi_k_exact(g: Graph, k: int, limit: int | None = None) -> int:
 
     Tries class counts in ascending order with a backtracking assignment;
     classes are interchangeable, so a vertex may only open one fresh class
-    beyond those already used.
+    beyond those already used.  The counts start at ceil(|Q| / (k+1)) for
+    a greedy clique Q, since a class meets a clique in at most k+1
+    vertices; every count skipped would have been refuted.
     """
     if k < 0:
         raise GraphError(f"k must be nonnegative, got {k}")
@@ -265,7 +267,11 @@ def chi_k_exact(g: Graph, k: int, limit: int | None = None) -> int:
             cls[v] = -1
         return False
 
-    for t in range(1, cap + 1):
+    clique: list[int] = []
+    for v in order:
+        if all(g.adjacent(v, u) for u in clique):
+            clique.append(v)
+    for t in range(-(len(clique) // -(k + 1)), cap + 1):
         for v in range(g.n):
             cls[v] = -1
             own[v] = 0

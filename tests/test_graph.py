@@ -1,6 +1,8 @@
 import io
 import math
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ from kindep.graph import (
     remove_vertex,
     verify_k_independent,
 )
-from kindep.generators import complete, j_graph, star
+from kindep.generators import complete, j_graph, random_gnm, star
 
 from conftest import cycle, path
 
@@ -138,6 +140,23 @@ class TestConstructions:
 
     def test_girth_of_dense_graph(self):
         assert girth(complete(4)) == 3
+
+    def test_girth_shortest_cycle_on_high_vertices(self):
+        # The only 4-cycle uses vertices 9..12; roots 0..8 see only the 9-cycle.
+        assert girth(disjoint_union(cycle(9), cycle(4))) == 4
+        assert girth(disjoint_union(cycle(4), cycle(9))) == 4
+
+    def test_girth_triangle_after_long_path(self):
+        # A path 0..49 with the chord (47, 49): the roots of the path reset
+        # their BFS arrays before root 47 finds the triangle.
+        n = 50
+        edges = [(i, i + 1) for i in range(n - 1)] + [(n - 3, n - 1)]
+        assert girth(build(n, edges)) == 3
+
+    def test_girth_long_cycle_behind_low_vertices(self):
+        # A 5-cycle on 9..13 hangs off the 9-cycle by the edge (0, 9).
+        g = build(14, [*disjoint_union(cycle(9), cycle(5)).edges(), (0, 9)])
+        assert girth(g) == 5
 
 
 class TestVerify:
@@ -274,3 +293,18 @@ class TestFormats:
         d = tmp_path / "g.col"
         d.write_text("c comment\np edge 3 3\ne 1 2\ne 2 3\ne 1 3\n")
         assert load_graph(d) == complete(3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=30).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=n * (n - 1) // 2),
+                        st.integers(min_value=0, max_value=2**32))))
+def test_gnm_round_trips_through_both_formats(params):
+    n, m, seed = params
+    g = random_gnm(n, m, seed)
+    dimacs = f"p edge {n} {m}\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in g.edges())
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in (("g.txt", dumps_edge_list(g)), ("g.col", dimacs)):
+            file = Path(tmp) / name
+            file.write_text(text)
+            assert load_graph(file) == g

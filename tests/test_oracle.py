@@ -151,6 +151,68 @@ class TestChiExact:
                 if chi > 1:
                     assert not feasible_by_enumeration(g, k, chi - 1)
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_complete_graphs(self, k):
+        for n in range(1, 16):
+            assert chi_k_exact(complete(n), k) == -(n // -(k + 1))
+
+    def test_large_clique(self):
+        # Starts at the clique bound, so no class count below 300 is tried.
+        assert chi_k_exact(complete(300), 0, limit=300) == 300
+        assert chi_k_exact(complete(300), 1, limit=300) == 150
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_matches_count_from_one(self, corpus100, k):
+        for g in corpus100:
+            assert chi_k_exact(g, k) == _frozen_chi_k(g, k)
+
+
+def _frozen_chi_k(g, k):
+    """chi_k_exact as it was before the clique start bound: tries every
+    class count from 1 upward."""
+    if g.n == 0:
+        return 0
+    cap = -((g.max_degree() + 1) // -(k + 1))
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    cls = [-1] * g.n
+    own = [0] * g.n
+
+    def place(pos, t, used):
+        if pos == g.n:
+            return True
+        v = order[pos]
+        for c in range(min(used + 1, t)):
+            cnt = 0
+            blocked = False
+            for u in g.neighbor_set(v):
+                if cls[u] == c:
+                    cnt += 1
+                    if cnt > k or own[u] >= k:
+                        blocked = True
+                        break
+            if blocked:
+                continue
+            cls[v] = c
+            own[v] = cnt
+            for u in g.neighbor_set(v):
+                if cls[u] == c:
+                    own[u] += 1
+            if place(pos + 1, t, max(used, c + 1)):
+                return True
+            for u in g.neighbor_set(v):
+                if cls[u] == c:
+                    own[u] -= 1
+            cls[v] = -1
+        return False
+
+    for t in range(1, cap + 1):
+        for v in range(g.n):
+            cls[v] = -1
+            own[v] = 0
+        if place(0, t, 0):
+            return t
+    raise AssertionError("equal-capacity partition bound violated")
+
 
 class _FrozenBranchAndBound:
     """The recursive search as it was before the degree-sum bound, kept as
