@@ -43,7 +43,6 @@ from .graph import (
     girth,
     induced_subgraph,
     remove_edges_of,
-    remove_vertex,
     verify_k_independent,
 )
 from .generators import (

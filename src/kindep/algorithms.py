@@ -18,19 +18,27 @@ from .graph import CertificateError, Graph, GraphError, WitnessSet, induced_subg
 
 @dataclass
 class RunTrace:
-    """Step log plus exact potential snapshots for one algorithm run."""
+    """Step log plus exact potential snapshots for one algorithm run.
+
+    A MOVE step stores no potential of its own: MOVE number i (from 0) is
+    followed by `potential_values[i + 1]`.  That holds for every trace,
+    because greedy traces have no MOVEs and Algorithms 1 and 2 take their
+    potentials only from the partition, which records its start value and
+    then one value per move.
+    """
 
     steps: list[tuple] = field(default_factory=list)
     potential_values: list[Fraction] = field(default_factory=list)
 
     def to_log(self) -> str:
         lines = []
+        phis = iter(self.potential_values[1:])
         for step in self.steps:
             tag = step[0]
             if tag == "DEL":
                 lines.append(f"DEL {step[1]} deg={step[2]}")
             elif tag == "MOVE":
-                phi = step[4]
+                phi = next(phis)
                 lines.append(
                     f"MOVE {step[1]} {step[2]}->{step[3]} "
                     f"phi={phi.numerator}/{phi.denominator}"
@@ -120,10 +128,14 @@ def lovasz_partition(
 
     trace = RunTrace()
     trace.potential_values.append(Fraction(phi, scale))
-    violating = {v for v in range(g.n) if deg_in[v][cls[v]] > caps[cls[v]]}
-    while violating:
-        v = min(violating)
+    # A heap that may hold stale entries: every violating vertex has one, so
+    # the first popped entry that still violates is the smallest violator.
+    heap = [v for v in range(g.n) if deg_in[v][cls[v]] > caps[cls[v]]]
+    while heap:
+        v = heapq.heappop(heap)
         i = cls[v]
+        if deg_in[v][i] <= caps[i]:
+            continue
         j = min(range(t), key=lambda c: (deg_in[v][c] * weight[c], c))
         # Pigeonhole step: a strictly better class always exists.
         if deg_in[v][j] * weight[j] >= deg_in[v][i] * weight[i]:
@@ -134,14 +146,11 @@ def lovasz_partition(
             deg_in[u][i] -= 1
             deg_in[u][j] += 1
             if deg_in[u][cls[u]] > caps[cls[u]]:
-                violating.add(u)
-            else:
-                violating.discard(u)
-        if deg_in[v][j] > caps[j]:
-            violating.add(v)
-        else:
-            violating.discard(v)
-        trace.steps.append(("MOVE", v, i, j, Fraction(phi, scale)))
+                heapq.heappush(heap, u)
+        # v itself now meets capacity k_j, so it needs no entry: as
+        # deg(v) < sum(k_c + 1), some class c has deg_c(v) / (k_c + 1) < 1,
+        # and j minimizes that ratio.
+        trace.steps.append(("MOVE", v, i, j))
         trace.potential_values.append(Fraction(phi, scale))
 
     classes = [[] for _ in range(t)]
@@ -150,20 +159,13 @@ def lovasz_partition(
     part = Partition(tuple(tuple(c) for c in classes), caps)
     for c, cap in zip(part.classes, part.capacities):
         members = set(c)
-        if not all(
-            sum(1 for u in g.neighbor_set(v) if u in members) <= cap for v in c
-        ):
+        if any(len(members & g.neighbor_set(v)) > cap for v in c):
             raise CertificateError(f"a partition class exceeds its capacity {cap}")
     return part, trace
 
 
-def lovasz_equal(g: Graph, k: int) -> Partition:
+def lovasz_equal(g: Graph, k: int) -> tuple[Partition, RunTrace]:
     """Equal-capacity partition into ceil((max_degree+1)/(k+1)) classes."""
-    part, _ = _lovasz_equal_traced(g, k)
-    return part
-
-
-def _lovasz_equal_traced(g: Graph, k: int) -> tuple[Partition, RunTrace]:
     if k < 0:
         raise GraphError(f"k must be nonnegative, got {k}")
     t = -((g.max_degree() + 1) // -(k + 1))
@@ -178,7 +180,7 @@ def _partition_step(
     original indices."""
     gone = set(deleted)
     sub, mapping = induced_subgraph(g, (v for v in range(g.n) if v not in gone))
-    part, sub_trace = _lovasz_equal_traced(sub, k)
+    part, sub_trace = lovasz_equal(sub, k)
     trace.steps.extend(sub_trace.steps)
     trace.potential_values.extend(sub_trace.potential_values)
     trace.steps.append(("PARTITION", len(part.classes)))

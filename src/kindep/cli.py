@@ -4,10 +4,10 @@ Subcommands: gen, bound, run, exact, verify, table, bench.  Machine-readable
 output (json, csv) renders every rational as an exact "p/q" string and is
 byte-identical across runs for a fixed configuration.
 
-Exit codes: 0 success, 2 parse or configuration error or a search too deep
-or too large for memory (lower --limit), 3 guarantee violation (an output
-failed its certified bound or a CertificateError was raised, which signals
-an implementation bug rather than bad input).
+Exit codes: 0 success, 2 parse or configuration error or a search too large
+for memory (lower --limit), 3 guarantee violation (an output failed its
+certified bound or a CertificateError was raised, which signals an
+implementation bug rather than bad input).
 """
 
 from __future__ import annotations
@@ -318,8 +318,8 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphError, formats.GraphFormatError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
-    except (RecursionError, MemoryError) as exc:
-        sys.stderr.write(f"error: the search ran out of stack or memory ({type(exc).__name__});"
+    except MemoryError:
+        sys.stderr.write("error: the search ran out of memory (MemoryError);"
                          " use a smaller graph or a lower --limit\n")
         return EXIT_CONFIG
     except CertificateError as exc:

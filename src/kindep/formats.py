@@ -93,17 +93,11 @@ def read_dimacs(stream: TextIO) -> Graph:
         raise GraphFormatError(str(exc)) from None
 
 
-def write_edge_list(g: Graph, stream: TextIO) -> None:
-    """Canonical edge-list dump: sorted edges, no comments."""
-    stream.write(f"{g.n} {g.edge_count()}\n")
-    for u, v in g.edges():
-        stream.write(f"{u} {v}\n")
-
-
 def dumps_edge_list(g: Graph) -> str:
-    buf = io.StringIO()
-    write_edge_list(g, buf)
-    return buf.getvalue()
+    """Canonical edge-list dump: sorted edges, no comments."""
+    lines = [f"{g.n} {g.edge_count()}\n"]
+    lines.extend(f"{u} {v}\n" for u, v in g.edges())
+    return "".join(lines)
 
 
 def load_graph(path: str | Path) -> Graph:

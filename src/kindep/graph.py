@@ -40,9 +40,6 @@ class Graph:
 
     # -- queries ---------------------------------------------------------
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbors of v in increasing index order."""
         return self._nbr_sorted[v]
@@ -136,13 +133,6 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, .
     pos = {old: new for new, old in enumerate(kept)}
     adj = [frozenset(pos[u] for u in g.neighbor_set(old) if u in pos) for old in kept]
     return Graph(len(kept), adj), tuple(kept)
-
-
-def remove_vertex(g: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
-    """Graph without vertex v and its incident edges, plus the index map."""
-    if not 0 <= v < g.n:
-        raise GraphError(f"vertex {v} not in graph of order {g.n}")
-    return induced_subgraph(g, (u for u in range(g.n) if u != v))
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:

@@ -6,12 +6,12 @@ full subset enumeration (the cross-check for tiny graphs).  Every derived
 quantity in the package ultimately leans on these, so they are kept simple
 enough to audit.
 
-The branch-and-bound walks an explicit stack, so deep searches need no
-recursion, and prunes with a k-aware degree-sum bound (a k-independent set
-of G is a (k+1)-plex of the complement, so k-plex degree bounds apply; see
-`_BranchAndBound`).  Its memo of visited states is capped at `_MEMO_CAP`
-per component; a search that needs more raises OracleLimitError, which the
-CLI reports with exit code 2.  `chi_k_exact` recurses once per vertex.
+Both searches walk explicit stacks, so deep searches need no recursion.
+The branch-and-bound prunes with a k-aware degree-sum bound (a
+k-independent set of G is a (k+1)-plex of the complement, so k-plex degree
+bounds apply; see `_BranchAndBound`).  Its memo of visited states is
+capped at `_MEMO_CAP` per component; a search that needs more raises
+OracleLimitError, which the CLI reports with exit code 2.
 """
 
 from __future__ import annotations
@@ -221,11 +221,12 @@ def alpha_k_bruteforce(g: Graph, k: int) -> int:
 def chi_k_exact(g: Graph, k: int, limit: int | None = None) -> int:
     """Smallest number of classes each inducing max degree <= k.
 
-    Tries class counts in ascending order with a backtracking assignment;
-    classes are interchangeable, so a vertex may only open one fresh class
-    beyond those already used.  The counts start at ceil(|Q| / (k+1)) for
-    a greedy clique Q, since a class meets a clique in at most k+1
-    vertices; every count skipped would have been refuted.
+    Tries class counts in ascending order with a backtracking assignment
+    over vertices in decreasing degree order, one depth-first loop over an
+    explicit stack; classes are interchangeable, so a vertex may only open
+    one fresh class beyond those already used.  The counts start at
+    ceil(|Q| / (k+1)) for a greedy clique Q, since a class meets a clique
+    in at most k+1 vertices; every count skipped would have been refuted.
     """
     if k < 0:
         raise GraphError(f"k must be nonnegative, got {k}")
@@ -236,45 +237,50 @@ def chi_k_exact(g: Graph, k: int, limit: int | None = None) -> int:
         return 0
     cap = -((g.max_degree() + 1) // -(k + 1))
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    cls = [-1] * g.n
-    own = [0] * g.n
+    cls = [-1] * g.n  # class of each placed vertex, -1 if unplaced
+    own = [0] * g.n  # neighbors of a placed vertex inside its class
 
-    def place(pos: int, t: int, used: int) -> bool:
-        if pos == g.n:
-            return True
-        v = order[pos]
-        for c in range(min(used + 1, t)):
-            cnt = 0
-            blocked = False
-            for u in g.neighbor_set(v):
-                if cls[u] == c:
-                    cnt += 1
-                    if cnt > k or own[u] >= k:
-                        blocked = True
-                        break
-            if blocked:
+    def options(v: int, t: int, used: int) -> list[tuple[int, int]]:
+        """(class, v's neighbors in it) for each class in 0..used that v may
+        join: v gets at most k neighbors there, none of which has k already.
+        Placed vertices fill classes 0..used-1."""
+        count = [0] * min(used + 1, t)
+        for u in g.neighbors(v):
+            c = cls[u]
+            if c >= 0:
+                # A neighbor that already has k closes its class to v.
+                count[c] += 1 if own[u] < k else k + 1
+        return [(c, n) for c, n in enumerate(count) if n <= k]
+
+    clique: set[int] = set()
+    for v in order:
+        if clique <= g.neighbor_set(v):
+            clique.add(v)
+    for t in range(-(len(clique) // -(k + 1)), cap + 1):
+        # One entry per placed or pending position: (position, the classes
+        # left to try there, classes used before it).  Every failed count
+        # unwinds to all vertices unplaced.
+        stack = [(0, iter(options(order[0], t, 0)), 0)]
+        while stack:
+            pos, untried, used = stack[-1]
+            v = order[pos]
+            c = cls[v]
+            if c >= 0:  # undo the previous try at this position
+                for u in g.neighbors(v):
+                    if cls[u] == c:
+                        own[u] -= 1
+                cls[v] = -1
+            nxt = next(untried, None)
+            if nxt is None:
+                stack.pop()
                 continue
+            c, own[v] = nxt
             cls[v] = c
-            own[v] = cnt
-            for u in g.neighbor_set(v):
+            for u in g.neighbors(v):
                 if cls[u] == c:
                     own[u] += 1
-            if place(pos + 1, t, max(used, c + 1)):
-                return True
-            for u in g.neighbor_set(v):
-                if cls[u] == c:
-                    own[u] -= 1
-            cls[v] = -1
-        return False
-
-    clique: list[int] = []
-    for v in order:
-        if all(g.adjacent(v, u) for u in clique):
-            clique.append(v)
-    for t in range(-(len(clique) // -(k + 1)), cap + 1):
-        for v in range(g.n):
-            cls[v] = -1
-            own[v] = 0
-        if place(0, t, 0):
-            return t
+            if pos + 1 == g.n:
+                return t
+            used = max(used, c + 1)
+            stack.append((pos + 1, iter(options(order[pos + 1], t, used)), used))
     raise CertificateError("equal-capacity partition bound violated")

@@ -15,7 +15,7 @@ from kindep.algorithms import (
     lovasz_partition,
 )
 from kindep.bounds import caro_tuza_sum, main_bound, thm_first_approach_bound
-from kindep.generators import complete, j_graph, star, thm12_2
+from kindep.generators import complete, j_graph, random_gnm, star, thm12_2
 from kindep.graph import (
     GraphError,
     build,
@@ -85,27 +85,94 @@ class TestLovaszPartition:
             assert re.fullmatch(r"MOVE \d+ \d+->\d+ phi=-?\d+/\d+", line)
 
 
+def frozen_lovasz_partition(g, caps):
+    """The partition loop as it stood before the violator heap: a set of
+    violators and a min() over it per move.  Returns the classes, the log
+    and the potentials that `lovasz_partition` must reproduce."""
+    t = len(caps)
+    cls = [v % t for v in range(g.n)]
+    deg_in = [[0] * t for _ in range(g.n)]
+    for v in range(g.n):
+        for u in g.neighbors(v):
+            deg_in[v][cls[u]] += 1
+    scale = math.lcm(*(c + 1 for c in caps))
+    weight = [scale // (c + 1) for c in caps]
+    phi = sum(deg_in[v][cls[v]] * weight[cls[v]] for v in range(g.n)) // 2
+    values, log = [Fraction(phi, scale)], ""
+    violating = {v for v in range(g.n) if deg_in[v][cls[v]] > caps[cls[v]]}
+    while violating:
+        v = min(violating)
+        i = cls[v]
+        j = min(range(t), key=lambda c: (deg_in[v][c] * weight[c], c))
+        phi += deg_in[v][j] * weight[j] - deg_in[v][i] * weight[i]
+        cls[v] = j
+        for u in g.neighbors(v):
+            deg_in[u][i] -= 1
+            deg_in[u][j] += 1
+            if deg_in[u][cls[u]] > caps[cls[u]]:
+                violating.add(u)
+            else:
+                violating.discard(u)
+        if deg_in[v][j] > caps[j]:
+            violating.add(v)
+        else:
+            violating.discard(v)
+        value = Fraction(phi, scale)
+        values.append(value)
+        log += f"MOVE {v} {i}->{j} phi={value.numerator}/{value.denominator}\n"
+    classes = tuple(tuple(v for v in range(g.n) if cls[v] == c) for c in range(t))
+    return classes, log, values
+
+
+class TestAgainstFrozenPartition:
+    def assert_same(self, g, caps):
+        part, trace = lovasz_partition(g, caps)
+        assert (part.classes, trace.to_log(), trace.potential_values) == \
+            frozen_lovasz_partition(g, caps), (g, caps)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_equal_capacities(self, corpus200, k):
+        for g in corpus200:
+            self.assert_same(g, [k] * -((g.max_degree() + 1) // -(k + 1)))
+
+    def test_unequal_capacities(self, corpus200):
+        for index, g in enumerate(corpus200):
+            # Capacities cycle through 0, 1, 2 from a per-graph offset until
+            # their sum(cap + 1) reaches max degree + 1.
+            caps = []
+            while sum(c + 1 for c in caps) < g.max_degree() + 1:
+                caps.append((index + len(caps)) % 3)
+            self.assert_same(g, caps)
+
+    @pytest.mark.parametrize("n", [100, 400, 1600])
+    def test_larger_gnm(self, n):
+        for seed in range(3):
+            g = random_gnm(n, 3 * n, seed)
+            for k in range(3):
+                self.assert_same(g, [k] * -((g.max_degree() + 1) // -(k + 1)))
+
+
 class TestLovaszEqual:
     def test_k4_two_classes(self):
-        part = lovasz_equal(complete(4), 1)
+        part, _ = lovasz_equal(complete(4), 1)
         assert len(part.classes) == 2
         assert len(part.largest_class()) == 2
 
     def test_cubic_two_classes(self):
         g = petersen()
-        part = lovasz_equal(g, 1)
+        part, _ = lovasz_equal(g, 1)
         assert len(part.classes) == 2
         assert len(part.largest_class()) >= 5
         assert class_degrees_ok(g, part)
 
     def test_edgeless_single_class(self):
-        part = lovasz_equal(build(7, []), 0)
+        part, _ = lovasz_equal(build(7, []), 0)
         assert part.classes == (tuple(range(7)),)
 
     def test_class_count_formula(self, corpus200):
         for g in corpus200[:40]:
             for k in (0, 1, 2):
-                part = lovasz_equal(g, k)
+                part, _ = lovasz_equal(g, k)
                 t = -((g.max_degree() + 1) // -(k + 1))
                 assert len(part.classes) == t
                 assert len(part.largest_class()) >= -(-g.n // t)
@@ -308,7 +375,7 @@ class TestLovaszLargestClass:
     def test_largest_class_of_equal_partition(self):
         g = petersen()
         witness, trace = lovasz_largest_class(g, 1)
-        part = lovasz_equal(g, 1)
+        part, _ = lovasz_equal(g, 1)
         assert witness.vertices == tuple(sorted(part.largest_class()))
         assert witness.k == 1 and verify_k_independent(g, witness.vertices, 1)
         assert trace.steps[-1] == ("PARTITION", len(part.classes))

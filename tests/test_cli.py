@@ -312,7 +312,7 @@ class TestExitContract:
         assert code == 2 and out == ""
         assert err == "error: a graph source is required (--file or --family)\n"
 
-    @pytest.mark.parametrize("exc", [RecursionError, MemoryError])
+    @pytest.mark.parametrize("exc", [MemoryError])
     def test_deep_search_names_limit(self, capsys, monkeypatch, exc):
         def boom(*args, **kwargs):
             raise exc("too deep")
@@ -330,6 +330,12 @@ class TestExitContract:
             capsys, "exact", "--family", "complete:1200", "--k", "0", "--limit", "2000"
         )
         assert (code, out, err) == (0, "1\n", "")
+
+    def test_deep_chi_search_exits_0(self, capsys):
+        code, out, err = run_cli(
+            capsys, "exact", "--chi", "--family", "complete:1200", "--k", "0", "--limit", "2000"
+        )
+        assert (code, out, err) == (0, "1200\n", "")
 
     def test_memo_cap_names_limit(self, capsys, monkeypatch):
         monkeypatch.setattr(oracle, "_MEMO_CAP", 5)

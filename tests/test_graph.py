@@ -24,7 +24,6 @@ from kindep.graph import (
     girth,
     induced_subgraph,
     remove_edges_of,
-    remove_vertex,
     verify_k_independent,
 )
 from kindep.generators import complete, j_graph, random_gnm, star
@@ -96,15 +95,6 @@ class TestSubgraphs:
         sub, mapping = induced_subgraph(complete(4), {0, 1, 2})
         assert sub == complete(3)
         assert mapping == (0, 1, 2)
-
-    def test_remove_star_center(self):
-        sub, mapping = remove_vertex(star(3), 0)
-        assert sub.n == 3 and sub.edge_count() == 0
-        assert mapping == (1, 2, 3)
-
-    def test_remove_cycle_vertex_gives_path(self):
-        sub, _ = remove_vertex(cycle(5), 2)
-        assert sorted(sub.degrees()) == [1, 1, 2, 2]
 
     def test_not_a_subset(self):
         with pytest.raises(GraphError):

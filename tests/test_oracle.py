@@ -4,7 +4,7 @@ from kindep import oracle
 from kindep.algorithms import caro_tuza_greedy
 from kindep.generators import complete, j_graph, random_gnm, star, thm14_6, wagner_r8
 from kindep.graph import (GraphError, build, copies, disjoint_union, induced_subgraph,
-                          remove_vertex, verify_k_independent)
+                          verify_k_independent)
 from kindep.oracle import (
     OracleLimitError,
     WitnessSet,
@@ -52,7 +52,7 @@ class TestAlphaExact:
                 continue
             alpha, _ = alpha_k_exact(g, 1)
             for v in (0, g.n // 2, g.n - 1):
-                sub, _ = remove_vertex(g, v)
+                sub, _ = induced_subgraph(g, (u for u in range(g.n) if u != v))
                 alpha_sub, _ = alpha_k_exact(sub, 1)
                 assert alpha - 1 <= alpha_sub <= alpha
 
@@ -160,6 +160,10 @@ class TestChiExact:
         # Starts at the clique bound, so no class count below 300 is tried.
         assert chi_k_exact(complete(300), 0, limit=300) == 300
         assert chi_k_exact(complete(300), 1, limit=300) == 150
+
+    def test_clique_deeper_than_recursion_limit(self):
+        # One placement per vertex, far past the interpreter's recursion limit.
+        assert chi_k_exact(complete(1200), 1, limit=2000) == 600
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_matches_count_from_one(self, corpus100, k):
