@@ -7,6 +7,7 @@ index, so identical inputs give identical outputs and traces.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -200,6 +201,16 @@ def lovasz_largest_class(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
     return _partition_step(g, [], k, trace), trace
 
 
+@functools.lru_cache(maxsize=128)
+def _potential_weights(k: int, max_deg: int) -> tuple[int, tuple[int, ...]]:
+    """Exact potential tracking over a common denominator: (scale, w) with
+    w[d] = f_k(d) * scale for d = 0..max_deg.  Cached because the oracle
+    seeds many small graphs that share a few (k, max degree) pairs."""
+    values = [potential_f(k, d) for d in range(max_deg + 1)]
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, tuple(int(v * scale) for v in values)
+
+
 def caro_tuza_greedy(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
     """Delete max-degree vertices until the rest induces max degree <= k.
 
@@ -213,10 +224,7 @@ def caro_tuza_greedy(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
     if g.n == 0:
         return WitnessSet((), k), trace
 
-    # Exact potential tracking over a common denominator: w[d] = f_k(d)*scale.
-    values = [potential_f(k, d) for d in range(g.max_degree() + 1)]
-    scale = math.lcm(*(v.denominator for v in values))
-    w = [int(v * scale) for v in values]
+    scale, w = _potential_weights(k, g.max_degree())
     s = sum(w[d] for d in g.degrees())
     trace.potential_values.append(Fraction(s, scale))
 

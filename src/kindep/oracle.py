@@ -7,11 +7,13 @@ quantity in the package ultimately leans on these, so they are kept simple
 enough to audit.
 
 Both searches walk explicit stacks, so deep searches need no recursion.
-The branch-and-bound prunes with a k-aware degree-sum bound (a
-k-independent set of G is a (k+1)-plex of the complement, so k-plex degree
-bounds apply; see `_BranchAndBound`).  Its memo of visited states is
-capped at `_MEMO_CAP` per component; a search that needs more raises
-OracleLimitError, which the CLI reports with exit code 2.
+The branch-and-bound carries a forced set along each branch: the vertices
+every set beating the best in that subtree must contain.  It prunes with a
+partition bound over the vertices that can still join the forced set and a
+k-aware degree-sum bound (a k-independent set of G is a (k+1)-plex of the
+complement, so k-plex bounds apply; see `_BranchAndBound`).  The forced
+sets also keep sibling subtrees disjoint, so the search never meets a
+state twice and keeps no memo: its memory is a stack at most n levels deep.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .graph import (CertificateError, Graph, GraphError, WitnessSet, induced_sub
 DEFAULT_ALPHA_LIMIT = 40
 DEFAULT_CHI_LIMIT = 20
 _BRUTEFORCE_CAP = 18
-_MEMO_CAP = 2_000_000  # states the alpha_k search may remember per component
 
 
 class OracleLimitError(GraphError):
@@ -62,28 +63,54 @@ def _components(g: Graph) -> list[list[int]]:
 class _BranchAndBound:
     """Maximize |C| over C inducing max degree <= k within one component.
 
-    State is the candidate mask C.  If some v in C has more than k
-    neighbors inside C, any feasible S contained in C either omits v or
-    omits one of k+1 fixed neighbors of v (keeping all of them would push
-    v's degree past k), so branching on those k+2 single-vertex removals
-    covers every feasible subset.  Feasible C are records themselves.
+    A state is a candidate mask C and a forced mask P within it.  If some v
+    in C has more than k neighbors inside C, any feasible S contained in C
+    either omits v or omits one of k+1 fixed neighbors u_1..u_{k+1} of v
+    (keeping all of them would push v's degree past k), so branching on
+    those k+2 single-vertex removals covers every feasible subset.
+    Feasible C are records themselves.
 
-    `search` is one depth-first loop over an explicit stack, so depth costs
-    no interpreter stack.  v is the max-degree vertex with the smallest
-    index; removing v is tried first, then removing each of its k+1
-    lowest-index neighbors.  A memo of the states seen skips repeats; past
-    `_MEMO_CAP` states the search raises OracleLimitError.  `nodes` counts
-    the states taken off the stack, repeats included.
+    `search` is one depth-first loop over the explicit stack `stack`, so
+    depth costs no interpreter stack.  v is the max-degree vertex with the
+    smallest index; removing v is tried first, then removing each u_i in
+    index order.  `nodes` counts the states taken off the stack.
 
-    Degree-sum bound, with d(v) the degree of v inside C and
-    need = best_size + 1.  Let S in C be k-independent with |S| = need and
-    R = C - S.  Each v in S has d(v) <= k + |R|, and
-    sum_S (d(v) - k)+ <= e(S, R) <= sum_R d(u), so
-    sum_S [d(v) + (d(v) - k)+] <= sum_C d.  That cost grows with d(v), so
-    C is pruned when the need-th smallest degree exceeds k + |C| - need,
-    or the costs of the need smallest degrees sum past sum_C d.  A pruned
-    state holds no set beating the best, so the search finds the same
-    records in the same order as without the bound.
+    Forced set.  Invariant: when (C, P) is popped, every feasible S in C
+    with |S| > best contains P.  Child 0 (remove v) inherits P; child i
+    (remove u_i) gets P + {v, u_1..u_{i-1}}.  Let S in C - u_i beat the
+    best and contain P.  If S omits one of v, u_1..u_{i-1}, take the first
+    it omits: S lies in that earlier child's candidates and contains its
+    forced set, and that child's subtree was searched to the end before
+    child i was popped, so best >= |S| already.  So S contains them all.
+    A child that would remove a vertex of P holds no such S and is not
+    pushed, so P stays inside C.  The same argument makes sibling subtrees
+    disjoint: every state under child j lacks u_j (v for j = 0), and every
+    state under a later child holds it in P.  So no state is popped twice
+    and no memo is needed.  Each level of depth removes a vertex and leaves
+    at most k+1 entries behind, so the stack holds O(n) states for fixed k.
+
+    Bounds, with need = best + 1; each prunes only states that hold no set
+    beating the best, so the search finds the same records in the same
+    order as without them:
+
+    * P itself is not k-independent.
+    * Partition bound (after Jiang et al., IJCAI 2021).  A vertex w of
+      C - P can join a feasible S containing P only if it is open: w has
+      at most k neighbors in P and none of them already has k there.  Each
+      open w with a neighbor in P joins the group of its lowest-index
+      neighbor p in P; S takes at most k - deg_P(p) vertices of that group,
+      since they are all neighbors of p.  So |S| <= |P| + (open vertices
+      with no neighbor in P) + sum over p of min(|group p|,
+      k - deg_P(p)), and the state is pruned when that is below need.
+    * Degree-sum bound on T = P + open, which holds every S above.  With
+      d(v) the degree of v inside T, let S in T be k-independent with
+      |S| = need and R = T - S.  Each v in S has d(v) <= k + |R|, and
+      sum_S (d(v) - k)+ <= e(S, R) <= sum_R d(u), so
+      sum_S [d(v) + (d(v) - k)+] <= sum_T d.  That cost grows with d(v),
+      so T fails when the need-th smallest degree exceeds k + |T| - need,
+      or the costs of the need smallest degrees sum past sum_T d.  (A
+      k-independent set of G is a (k+1)-plex of the complement, so k-plex
+      degree bounds apply.)
     """
 
     def __init__(self, masks: list[int], k: int):
@@ -91,8 +118,8 @@ class _BranchAndBound:
         self.k = k
         self.best_size = -1
         self.best_mask = 0
-        self.visited: set[int] = set()
         self.nodes = 0
+        self.stack: list[tuple[int, int]] = []
 
     def seed(self, mask: int) -> None:
         size = mask.bit_count()
@@ -101,50 +128,80 @@ class _BranchAndBound:
             self.best_mask = mask
 
     def search(self, root: int) -> None:
-        masks, k, visited = self.masks, self.k, self.visited
-        memo_cap = _MEMO_CAP
+        masks, k, stack = self.masks, self.k, self.stack
         verts = [v for v in range(root.bit_length()) if root >> v & 1]
-        stack = [root]
+        stack.append((root, 0))
         while stack:
-            candidates = stack.pop()
+            candidates, forced = stack.pop()
             self.nodes += 1
-            if candidates in visited:
-                continue
-            if len(visited) >= memo_cap:
-                raise OracleLimitError(
-                    f"the search memo passed {memo_cap} states;"
-                    " use a smaller graph or a lower --limit"
-                )
-            visited.add(candidates)
             size = candidates.bit_count()
             if size <= self.best_size:
                 continue
+            # room[p]: neighbors p in P may still gain; blocked: the
+            # neighborhoods of the p in P that have none to spare.
+            room = {}
+            blocked = 0
+            rest = forced
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                p = bit.bit_length() - 1
+                room[p] = spare = k - (masks[p] & forced).bit_count()
+                if spare == 0:
+                    blocked |= masks[p]
+            if room and min(room.values()) < 0:  # P is not k-independent
+                continue
             degrees = []
             worst_v, worst_d = -1, k
+            shut = 0
+            groups = {}
+            free = 0
             for v in verts:
                 if candidates >> v & 1:
                     dv = (masks[v] & candidates).bit_count()
                     degrees.append(dv)
                     if dv > worst_d:
                         worst_v, worst_d = v, dv
+                    if forced >> v & 1:
+                        continue
+                    nbrs = masks[v] & forced
+                    if blocked >> v & 1 or nbrs.bit_count() > k:
+                        shut |= 1 << v
+                    elif nbrs:
+                        p = (nbrs & -nbrs).bit_length() - 1
+                        groups[p] = groups.get(p, 0) + 1
+                    else:
+                        free += 1
             if worst_v < 0:
                 self.best_size = size
                 self.best_mask = candidates
                 continue
-            # Degree-sum bound; see the class docstring.
             need = self.best_size + 1
+            bound = forced.bit_count() + free
+            for p, count in groups.items():
+                bound += min(count, room[p])
+            if bound < need:
+                continue
+            if shut:
+                inside = candidates & ~shut
+                degrees = [(masks[v] & inside).bit_count() for v in verts if inside >> v & 1]
             degrees.sort()
-            if degrees[need - 1] > k + size - need:
+            if degrees[need - 1] > k + len(degrees) - need:
                 continue
             low = degrees[:need]
             if sum(low) + sum(d - k for d in low if d > k) > sum(degrees):
                 continue
             nbrs = masks[worst_v] & candidates
-            children = [candidates & ~(1 << worst_v)]
+            children = []
+            if not forced >> worst_v & 1:
+                children.append((candidates & ~(1 << worst_v), forced))
+            forced |= 1 << worst_v
             for _ in range(k + 1):
                 bit = nbrs & -nbrs
                 nbrs ^= bit
-                children.append(candidates & ~bit)
+                if not forced & bit:
+                    children.append((candidates & ~bit, forced))
+                forced |= bit
             stack.extend(reversed(children))
 
 
@@ -154,9 +211,13 @@ def alpha_k_exact(
     """Exact k-independence number with a witness set.
 
     Branch-and-bound per connected component, seeded with the deletion
-    greedy's certified set.  Refuses graphs larger than `limit` (default
-    40) rather than silently running for hours, and raises
-    OracleLimitError when a component's search memo passes `_MEMO_CAP`.
+    greedy's certified set.  The witness is the first maximum set of the
+    remove-a-vertex search order in `_BranchAndBound`; its bounds only skip
+    subtrees holding no better set, so they never change the witness.
+    Refuses graphs larger than `limit` (default 40) rather than silently
+    running for hours.  The search never repeats a state, so it keeps no
+    memo and its memory is a stack at most n levels deep however long it
+    runs.
     """
     if k < 0:
         raise GraphError(f"k must be nonnegative, got {k}")
@@ -172,7 +233,8 @@ def alpha_k_exact(
         comp_mask = 0
         for v in comp:
             comp_mask |= 1 << v
-        sub, mapping = induced_subgraph(g, comp)
+        # One component spanning V is G itself, indexed as it is.
+        sub, mapping = (g, comp) if len(comp) == g.n else induced_subgraph(g, comp)
         seed_set, _ = algorithms.caro_tuza_greedy(sub, k)
         seed_mask = 0
         for v in seed_set.vertices:

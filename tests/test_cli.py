@@ -337,12 +337,6 @@ class TestExitContract:
         )
         assert (code, out, err) == (0, "1200\n", "")
 
-    def test_memo_cap_names_limit(self, capsys, monkeypatch):
-        monkeypatch.setattr(oracle, "_MEMO_CAP", 5)
-        code, out, err = run_cli(capsys, "exact", "--family", "gnm:n=20,m=60,seed=3", "--k", "1")
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and "--limit" in err and "5 states" in err
-
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_alg1_on_empty_graph_passes(self, capsys, tmp_path, k):
         f = tmp_path / "empty.txt"

@@ -264,26 +264,44 @@ class _FrozenBranchAndBound:
             self.search(candidates & ~bit)
 
 
-def solve_with(search_class, g, k):
-    """alpha_k_exact's driver around a given search:
-    (alpha, witness, nodes, largest memo of one component)."""
+def solve_with(make_search, g, k):
+    """alpha_k_exact's driver around a given search: (alpha, witness, nodes).
+    make_search(masks, k) builds the search of one component."""
     masks = oracle._adjacency_masks(g)
-    chosen, nodes, memo = [], 0, 0
+    chosen, nodes = [], 0
     for comp in oracle._components(g):
         sub, mapping = induced_subgraph(g, comp)
         seed_set, _ = caro_tuza_greedy(sub, k)
-        bb = search_class(masks, k)
+        bb = make_search(masks, k)
         bb.seed(sum(1 << mapping[v] for v in seed_set.vertices))
         bb.search(sum(1 << v for v in comp))
         nodes += bb.nodes
-        memo = max(memo, len(bb.visited))
         chosen += [v for v in comp if bb.best_mask >> v & 1]
-    return len(chosen), tuple(sorted(chosen)), nodes, memo
+    return len(chosen), tuple(sorted(chosen)), nodes
 
 
 def gnm_cells():
     return [(random_gnm(n, c * n, 7000 + 10 * n + c), k)
-            for n in range(16, 21) for c in (2, 4, 6) for k in range(3)]
+            for n in range(16, 21) for c in (2, 4, 6) for k in range(4)]
+
+
+class _LoggingStack(list):
+    """A search stack that logs the candidate mask of every state popped."""
+
+    def __init__(self, popped):
+        super().__init__()
+        self.popped = popped
+
+    def pop(self):
+        state = super().pop()
+        self.popped.append(state[0])
+        return state
+
+
+class _LoggedSearch(oracle._BranchAndBound):
+    def __init__(self, masks, k, popped):
+        super().__init__(masks, k)
+        self.stack = _LoggingStack(popped)
 
 
 class TestAgainstFrozenSearch:
@@ -299,26 +317,49 @@ class TestAgainstFrozenSearch:
             assert (alpha, ws.vertices) == solve_with(_FrozenBranchAndBound, g, k)[:2]
 
     def test_bound_halves_nodes(self):
+        # 76 nodes against 48,097 when this was written.
         g = random_gnm(20, 120, 3)
         new = solve_with(oracle._BranchAndBound, g, 2)
         old = solve_with(_FrozenBranchAndBound, g, 2)
         assert new[:2] == old[:2]
-        assert 2 * new[2] < old[2]
+        assert 100 * new[2] < old[2]
 
 
-class TestMemoCap:
-    def test_cap_raises_limit_error(self, monkeypatch):
-        g = random_gnm(20, 60, 3)
-        monkeypatch.setattr(oracle, "_MEMO_CAP", 5)
-        with pytest.raises(OracleLimitError, match="--limit"):
-            alpha_k_exact(g, 1)
+class TestSearchStates:
+    def test_no_state_popped_twice(self, corpus100):
+        cases = [(g, k) for g in corpus100 for k in range(4)] + gnm_cells()
+        for g, k in cases:
+            popped = []
+            nodes = solve_with(lambda masks, k: _LoggedSearch(masks, k, popped), g, k)[2]
+            assert len(popped) == len(set(popped)) == nodes
 
-    def test_cap_boundary(self, monkeypatch):
-        g = random_gnm(20, 60, 3)
-        expected = alpha_k_exact(g, 1)
-        memo = solve_with(oracle._BranchAndBound, g, 1)[3]
-        monkeypatch.setattr(oracle, "_MEMO_CAP", memo)
-        assert alpha_k_exact(g, 1) == expected
-        monkeypatch.setattr(oracle, "_MEMO_CAP", memo - 1)
-        with pytest.raises(OracleLimitError):
-            alpha_k_exact(g, 1)
+    def test_node_counts_do_not_grow(self):
+        # Node sums for k = 0..3 when the forced-set bounds were added: a
+        # weaker bound keeps every witness but shows up here.
+        nodes = [0] * 4
+        for n in (15, 16, 17):
+            for seed in range(20):
+                g = random_gnm(n, 3 * n, seed)
+                for k in range(4):
+                    nodes[k] += solve_with(oracle._BranchAndBound, g, k)[2]
+        assert all(now <= then for now, then in zip(nodes, [1136, 2792, 2992, 2693])), nodes
+
+
+# alpha_k_exact(random_gnm(n, m, 3), k) for (n, m, k), recorded with the
+# search that kept a memo and had no forced-set bounds.
+LARGE_PINNED = {
+    (40, 80, 1): (24, (1, 2, 6, 7, 10, 11, 13, 16, 18, 19, 20, 21, 22, 23, 27, 28, 30, 31,
+                       33, 35, 36, 37, 38, 39)),
+    (40, 200, 2): (19, (1, 2, 5, 9, 12, 16, 17, 20, 22, 23, 26, 28, 30, 31, 33, 34, 35, 37,
+                        39)),
+    (50, 100, 0): (23, (1, 4, 6, 7, 9, 12, 14, 15, 16, 18, 20, 22, 23, 26, 27, 30, 32, 33,
+                        34, 38, 41, 42, 49)),
+    (50, 100, 1): (29, (0, 1, 2, 4, 6, 7, 8, 9, 11, 12, 13, 14, 15, 16, 17, 18, 21, 23, 27,
+                        30, 31, 37, 40, 41, 42, 44, 46, 47, 48)),
+}
+
+
+@pytest.mark.parametrize("n,m,k", sorted(LARGE_PINNED))
+def test_large_instance_witness_pinned(n, m, k):
+    alpha, ws = alpha_k_exact(random_gnm(n, m, 3), k, limit=50)
+    assert (alpha, ws.vertices) == LARGE_PINNED[n, m, k]
