@@ -160,7 +160,7 @@ def lovasz_partition(
     part = Partition(tuple(tuple(c) for c in classes), caps)
     for c, cap in zip(part.classes, part.capacities):
         members = set(c)
-        if any(len(members & g.neighbor_set(v)) > cap for v in c):
+        if any(len(members.intersection(g.neighbors(v))) > cap for v in c):
             raise CertificateError(f"a partition class exceeds its capacity {cap}")
     return part, trace
 
@@ -176,17 +176,15 @@ def lovasz_equal(g: Graph, k: int) -> tuple[Partition, RunTrace]:
 def _partition_step(
     g: Graph, deleted: list[int], k: int, trace: RunTrace
 ) -> WitnessSet:
-    """Run the equal-capacity partition on the subgraph left after
-    `deleted`, merge its trace, and return the largest class mapped back to
-    original indices."""
+    """Run `lovasz_largest_class` on the subgraph left after `deleted`,
+    merge its trace, and return the class mapped back to original
+    indices."""
     gone = set(deleted)
     sub, mapping = induced_subgraph(g, (v for v in range(g.n) if v not in gone))
-    part, sub_trace = lovasz_equal(sub, k)
+    largest, sub_trace = lovasz_largest_class(sub, k)
     trace.steps.extend(sub_trace.steps)
     trace.potential_values.extend(sub_trace.potential_values)
-    trace.steps.append(("PARTITION", len(part.classes)))
-    chosen = part.largest_class()
-    return WitnessSet(tuple(sorted(mapping[v] for v in chosen)), k)
+    return WitnessSet(tuple(mapping[v] for v in largest.vertices), k)
 
 
 def lovasz_largest_class(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
@@ -195,10 +193,11 @@ def lovasz_largest_class(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
     """
     if k < 0:
         raise GraphError(f"k must be nonnegative, got {k}")
-    trace = RunTrace()
     if g.n == 0:
-        return WitnessSet((), k), trace
-    return _partition_step(g, [], k, trace), trace
+        return WitnessSet((), k), RunTrace()
+    part, trace = lovasz_equal(g, k)
+    trace.steps.append(("PARTITION", len(part.classes)))
+    return WitnessSet(tuple(sorted(part.largest_class())), k), trace
 
 
 @functools.lru_cache(maxsize=128)

@@ -21,14 +21,28 @@ class GraphFormatError(ValueError):
     """Malformed graph file; the message carries the offending line number."""
 
 
+def _edge(lineno: int, a: str, b: str, n: int, base: int) -> tuple[int, int]:
+    """The 0-based edge of a line whose endpoints a, b count from `base`;
+    errors name the line and the endpoints as the file counts them."""
+    try:
+        u, v = int(a) - base, int(b) - base
+    except ValueError:
+        raise GraphFormatError(f"line {lineno}: non-integer edge") from None
+    if u == v:
+        raise GraphFormatError(f"line {lineno}: self-loop at vertex {u + base}")
+    if not (0 <= u < n and 0 <= v < n):
+        raise GraphFormatError(
+            f"line {lineno}: edge ({a}, {b}) out of range {base}..{n - 1 + base}")
+    return u, v
+
+
 def read_edge_list(stream: TextIO) -> Graph:
     n = m = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         if n is None:
             if len(parts) != 2:
                 raise GraphFormatError(f"line {lineno}: expected header 'n m'")
@@ -39,14 +53,10 @@ def read_edge_list(stream: TextIO) -> Graph:
             continue
         if len(parts) != 2:
             raise GraphFormatError(f"line {lineno}: expected edge 'u v'")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer edge") from None
-        edges.append((u, v))
+        edges.append(_edge(lineno, parts[0], parts[1], n, 0))
     if n is None:
         raise GraphFormatError("line 1: missing 'n m' header")
-    if m is not None and len(edges) != m:
+    if len(edges) != m:
         raise GraphFormatError(f"header announced {m} edges, file has {len(edges)}")
     try:
         return build(n, edges)
@@ -58,10 +68,9 @@ def read_dimacs(stream: TextIO) -> Graph:
     n = m = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("c"):
             continue
-        parts = line.split()
         if parts[0] == "p":
             if n is not None:
                 raise GraphFormatError(f"line {lineno}: duplicate problem line")
@@ -76,11 +85,7 @@ def read_dimacs(stream: TextIO) -> Graph:
                 raise GraphFormatError(f"line {lineno}: edge before problem line")
             if len(parts) != 3:
                 raise GraphFormatError(f"line {lineno}: expected 'e u v'")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: non-integer edge") from None
-            edges.append((u - 1, v - 1))
+            edges.append(_edge(lineno, parts[1], parts[2], n, 1))
         else:
             raise GraphFormatError(f"line {lineno}: unknown record '{parts[0]}'")
     if n is None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 class GraphError(ValueError):
@@ -26,26 +26,27 @@ class CertificateError(Exception):
 class Graph:
     """Immutable simple undirected graph.
 
-    Vertices are the integers ``0..n-1``.  Adjacency is stored per vertex;
-    `neighbors` iterates in increasing index order so that tie-breaking in
-    the algorithms built on top is reproducible.
+    Vertices are the integers ``0..n-1``.  Adjacency is stored once, as one
+    sorted tuple of neighbors per vertex, so `neighbors` iterates in
+    increasing index order and tie-breaking in the algorithms built on top
+    is reproducible.  `neighbor_set` builds a fresh frozenset on every call,
+    and `adjacent` scans a tuple in O(deg).
     """
 
-    __slots__ = ("n", "_adj", "_nbr_sorted")
+    __slots__ = ("n", "_adj")
 
-    def __init__(self, n: int, adjacency: Sequence[frozenset[int]]):
+    def __init__(self, n: int, adjacency: Iterable[Iterable[int]]):
         self.n = n
-        self._adj = tuple(adjacency)
-        self._nbr_sorted = tuple(tuple(sorted(s)) for s in self._adj)
+        self._adj = tuple(tuple(sorted(s)) for s in adjacency)
 
     # -- queries ---------------------------------------------------------
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbors of v in increasing index order."""
-        return self._nbr_sorted[v]
+        return self._adj[v]
 
     def neighbor_set(self, v: int) -> frozenset[int]:
-        return self._adj[v]
+        return frozenset(self._adj[v])
 
     def adjacent(self, u: int, v: int) -> bool:
         return v in self._adj[u]
@@ -71,7 +72,7 @@ class Graph:
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges (u, v) with u < v, in lexicographic order."""
         for u in range(self.n):
-            for v in self._nbr_sorted[u]:
+            for v in self._adj[u]:
                 if u < v:
                     yield (u, v)
 
@@ -117,7 +118,7 @@ def build(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
         adj[u].add(v)
         adj[v].add(u)
-    return Graph(n, [frozenset(s) for s in adj])
+    return Graph(n, adj)
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -131,14 +132,14 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, .
         if not 0 <= v < g.n:
             raise GraphError(f"vertex {v} not in graph of order {g.n}")
     pos = {old: new for new, old in enumerate(kept)}
-    adj = [frozenset(pos[u] for u in g.neighbor_set(old) if u in pos) for old in kept]
+    adj = [[pos[u] for u in g.neighbors(old) if u in pos] for old in kept]
     return Graph(len(kept), adj), tuple(kept)
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """One copy of g followed by one copy of h (h's indices shifted by n(g))."""
     off = g.n
-    adj = list(g._adj) + [frozenset(u + off for u in s) for s in h._adj]
+    adj = list(g._adj) + [[u + off for u in s] for s in h._adj]
     return Graph(g.n + h.n, adj)
 
 
@@ -146,16 +147,16 @@ def copies(q: int, g: Graph) -> Graph:
     """Disjoint union of q copies of g."""
     if q < 1:
         raise GraphError(f"number of copies must be positive, got {q}")
-    adj: list[frozenset[int]] = []
+    adj: list[list[int]] = []
     for i in range(q):
         off = i * g.n
-        adj.extend(frozenset(u + off for u in s) for s in g._adj)
+        adj.extend([u + off for u in s] for s in g._adj)
     return Graph(q * g.n, adj)
 
 
 def complement(g: Graph) -> Graph:
-    full = frozenset(range(g.n))
-    adj = [full - g.neighbor_set(v) - {v} for v in range(g.n)]
+    full = set(range(g.n))
+    adj = [full.difference(g.neighbors(v), (v,)) for v in range(g.n)]
     return Graph(g.n, adj)
 
 
@@ -167,7 +168,7 @@ def remove_edges_of(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
             raise GraphError(f"edge ({u}, {v}) not present")
         adj[u].discard(v)
         adj[v].discard(u)
-    return Graph(g.n, [frozenset(s) for s in adj])
+    return Graph(g.n, adj)
 
 
 def girth(g: Graph) -> int | float:
@@ -235,7 +236,7 @@ def verify_k_independent(g: Graph, s: Iterable[int], k: int) -> bool:
             raise GraphError(f"vertex {v} not in graph of order {g.n}")
     for v in sset:
         inside = 0
-        for u in g.neighbor_set(v):
+        for u in g.neighbors(v):
             if u in sset:
                 inside += 1
                 if inside > k:

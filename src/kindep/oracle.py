@@ -19,8 +19,7 @@ state twice and keeps no memo: its memory is a stack at most n levels deep.
 from __future__ import annotations
 
 from . import algorithms
-from .graph import (CertificateError, Graph, GraphError, WitnessSet, induced_subgraph,
-                    verify_k_independent)
+from .graph import CertificateError, Graph, GraphError, WitnessSet, verify_k_independent
 
 DEFAULT_ALPHA_LIMIT = 40
 DEFAULT_CHI_LIMIT = 20
@@ -35,7 +34,7 @@ def _adjacency_masks(g: Graph) -> list[int]:
     masks = [0] * g.n
     for v in range(g.n):
         m = 0
-        for u in g.neighbor_set(v):
+        for u in g.neighbors(v):
             m |= 1 << u
         masks[v] = m
     return masks
@@ -51,7 +50,7 @@ def _components(g: Graph) -> list[list[int]]:
         queue, comp = [s], [s]
         while queue:
             u = queue.pop()
-            for w in g.neighbor_set(u):
+            for w in g.neighbors(u):
                 if not seen[w]:
                     seen[w] = True
                     queue.append(w)
@@ -228,25 +227,17 @@ def alpha_k_exact(
         return 0, WitnessSet((), k)
 
     masks = _adjacency_masks(g)
+    # The greedy on G restricted to a component C is the greedy on G[C]:
+    # deletions elsewhere leave C's live degrees alone, and re-indexing C
+    # keeps its order, so ties break alike.  One run seeds every component.
+    seed_mask = sum(1 << v for v in algorithms.caro_tuza_greedy(g, k)[0].vertices)
     chosen: list[int] = []
     for comp in _components(g):
-        comp_mask = 0
-        for v in comp:
-            comp_mask |= 1 << v
-        # One component spanning V is G itself, indexed as it is.
-        sub, mapping = (g, comp) if len(comp) == g.n else induced_subgraph(g, comp)
-        seed_set, _ = algorithms.caro_tuza_greedy(sub, k)
-        seed_mask = 0
-        for v in seed_set.vertices:
-            seed_mask |= 1 << mapping[v]
+        comp_mask = sum(1 << v for v in comp)
         bb = _BranchAndBound(masks, k)
-        bb.seed(seed_mask)
+        bb.seed(seed_mask & comp_mask)
         bb.search(comp_mask)
-        best = bb.best_mask
-        while best:
-            bit = best & -best
-            best ^= bit
-            chosen.append(bit.bit_length() - 1)
+        chosen += [v for v in comp if bb.best_mask >> v & 1]
     witness = WitnessSet(tuple(sorted(chosen)), k)
     if not verify_k_independent(g, witness.vertices, k):
         raise CertificateError("oracle witness is not k-independent")
@@ -316,7 +307,7 @@ def chi_k_exact(g: Graph, k: int, limit: int | None = None) -> int:
 
     clique: set[int] = set()
     for v in order:
-        if clique <= g.neighbor_set(v):
+        if clique.issubset(g.neighbors(v)):
             clique.add(v)
     for t in range(-(len(clique) // -(k + 1)), cap + 1):
         # One entry per placed or pending position: (position, the classes

@@ -24,7 +24,7 @@ from kindep.graph import (
     induced_subgraph,
     verify_k_independent,
 )
-from kindep.oracle import alpha_k_exact
+from kindep.oracle import _components, alpha_k_exact
 
 from conftest import cycle, petersen
 
@@ -231,6 +231,18 @@ class TestDeletionGreedy:
     def test_log_format(self):
         _, trace = caro_tuza_greedy(star(5), 0)
         assert trace.to_log() == "DEL 0 deg=5\n"
+
+    def test_restriction_to_a_component(self):
+        # The oracle seeds every component from one greedy run on G.
+        for n in range(8, 20):
+            for c in (1, 2, 3):
+                g = disjoint_union(random_gnm(n, c * n // 2, 50 + n), random_gnm(n, c * n, 90 + n))
+                for k in range(4):
+                    whole = set(caro_tuza_greedy(g, k)[0].vertices)
+                    for comp in _components(g):
+                        sub, mapping = induced_subgraph(g, comp)
+                        alone = [mapping[v] for v in caro_tuza_greedy(sub, k)[0].vertices]
+                        assert sorted(whole.intersection(comp)) == alone, (n, c, k)
 
 
 class TestAlgorithm1:

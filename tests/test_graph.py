@@ -233,6 +233,25 @@ def test_girth_matches_edge_removal_search(g):
     assert girth(g) == best
 
 
+def assert_canonical(h, label):
+    """h equals `build` on its own edges, hashes alike, and lists each
+    neighborhood in strictly increasing order."""
+    again = build(h.n, h.edges())
+    assert h == again and hash(h) == hash(again), label
+    for v in range(h.n):
+        nbrs = h.neighbors(v)
+        assert all(a < b for a, b in zip(nbrs, nbrs[1:])), (label, v)
+
+
+def test_constructors_are_canonical(corpus100):
+    for g, h in zip(corpus100, corpus100[1:] + corpus100[:1]):
+        assert_canonical(induced_subgraph(g, range(0, g.n, 2))[0], "induced_subgraph")
+        assert_canonical(disjoint_union(g, h), "disjoint_union")
+        assert_canonical(copies(3, g), "copies")
+        assert_canonical(complement(g), "complement")
+        assert_canonical(remove_edges_of(g, list(g.edges())[::2]), "remove_edges_of")
+
+
 class TestFormats:
     def test_edge_list_round_trip(self):
         g = j_graph(6)
@@ -275,6 +294,20 @@ class TestFormats:
     def test_dimacs_bad_record(self):
         with pytest.raises(GraphFormatError, match="line 2"):
             read_dimacs(io.StringIO("p edge 2 1\nz 1 2\n"))
+
+    @pytest.mark.parametrize("reader,text,message", [
+        (read_edge_list, "# c\n3 2\n0 1\n2 2\n", "line 4: self-loop at vertex 2"),
+        (read_edge_list, "3 2\n0 1\n\n1 3\n", r"line 4: edge \(1, 3\) out of range 0\.\.2"),
+        (read_edge_list, "3 1\n-1 0\n", r"line 2: edge \(-1, 0\) out of range 0\.\.2"),
+        (read_dimacs, "c c\np edge 3 2\ne 1 2\ne 3 3\n", "line 4: self-loop at vertex 3"),
+        (read_dimacs, "p edge 3 2\ne 1 4\ne 1 2\n", r"line 2: edge \(1, 4\) out of range 1\.\.3"),
+        (read_dimacs, "p edge 3 2\ne 1 2\nc c\ne 0 1\n", r"line 4: edge \(0, 1\) out of range 1\.\.3"),
+    ], ids=["edge-loop", "edge-range", "edge-negative", "dimacs-loop", "dimacs-range",
+            "dimacs-zero"])
+    def test_bad_edge_names_its_line(self, reader, text, message):
+        # Endpoints are reported as the file counts them, 0- or 1-based.
+        with pytest.raises(GraphFormatError, match=f"^{message}$"):
+            reader(io.StringIO(text))
 
     def test_load_sniffs_format(self, tmp_path):
         e = tmp_path / "g.txt"

@@ -316,6 +316,17 @@ class TestAgainstFrozenSearch:
             alpha, ws = alpha_k_exact(g, k)
             assert (alpha, ws.vertices) == solve_with(_FrozenBranchAndBound, g, k)[:2]
 
+    def test_multi_component_witnesses_identical(self, corpus100):
+        # solve_with seeds each component from the greedy on its own
+        # induced subgraph; alpha_k_exact restricts one greedy run on G.
+        graphs = [disjoint_union(g, h) for g, h in zip(corpus100[::2], corpus100[1::2])]
+        graphs += [copies(3, random_gnm(n, n, 400 + n)) for n in range(3, 8)]
+        graphs += [disjoint_union(random_gnm(n, 3 * n, n), star(4)) for n in range(8, 16)]
+        for g in graphs:
+            for k in range(4):
+                alpha, ws = alpha_k_exact(g, k)
+                assert (alpha, ws.vertices) == solve_with(_FrozenBranchAndBound, g, k)[:2]
+
     def test_bound_halves_nodes(self):
         # 76 nodes against 48,097 when this was written.
         g = random_gnm(20, 120, 3)

@@ -46,3 +46,13 @@ def test_no_function_calls_itself(path):
                 if name == fn.name:
                     found.append(f"{fn.name} (line {node.lineno})")
     assert found == [], f"{path.name} has self-calls: {found}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_neighbor_set_calls(path):
+    # neighbor_set copies a neighbor tuple into a new frozenset on every call;
+    # the package reads `neighbors` and leaves neighbor_set to callers outside.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None)) == "neighbor_set"]
+    assert lines == [], f"{path.name} calls neighbor_set on lines {lines}"
