@@ -10,14 +10,13 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bounds import potential_f, residue_t
 from .graph import CertificateError, Graph, GraphError, WitnessSet, induced_subgraph
 
 
-@dataclass
 class RunTrace:
     """Step log plus exact potential snapshots for one algorithm run.
 
@@ -28,8 +27,9 @@ class RunTrace:
     then one value per move.
     """
 
-    steps: list[tuple] = field(default_factory=list)
-    potential_values: list[Fraction] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.steps: list[tuple] = []
+        self.potential_values: list[Fraction] = []
 
     def to_log(self) -> str:
         lines = []
@@ -53,8 +53,7 @@ class RunTrace:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     """Disjoint vertex classes covering V(G), each with a degree capacity."""
 
     classes: tuple[tuple[int, ...], ...]

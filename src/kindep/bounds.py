@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from . import generators
 from .graph import Graph, GraphError
 
 Rat = int | Fraction
@@ -117,8 +115,7 @@ def f1_exact(d: int) -> Fraction:
 # -- reports -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundRow:
+class BoundRow(NamedTuple):
     name: str
     value: Fraction | None
     applicable: bool
@@ -128,8 +125,7 @@ class BoundRow:
         return frac_str(self.value) if self.value is not None else "-"
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Named bound rows for one query, plus the inputs they were computed from."""
 
     k: int
@@ -292,8 +288,7 @@ def f_upper_catalog(k: int, d: int) -> BoundReport:
     return BoundReport(k=k, rows=tuple(rows), d=d)
 
 
-@dataclass(frozen=True)
-class WitnessRatio:
+class WitnessRatio(NamedTuple):
     value: Fraction
     alpha: int
     n: int
@@ -328,8 +323,7 @@ def witness_ratio(
     return WitnessRatio(Fraction(alpha, g.n), alpha, g.n, g.max_degree())
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     d: int
     lower: Fraction
     upper: Fraction
@@ -358,6 +352,8 @@ _PRINTED_F2 = {
 
 
 def _table_witness(d: int) -> tuple[Graph, str]:
+    from . import generators
+
     if d == 0:
         return generators.complete(1), "complete:1"
     if d == 1:

@@ -4,6 +4,10 @@ Subcommands: gen, bound, run, exact, verify, table, bench.  Machine-readable
 output (json, csv) renders every rational as an exact "p/q" string and is
 byte-identical across runs for a fixed configuration.
 
+Each subcommand imports the kindep modules beyond `graph` and `formats` when
+it runs, so a call loads only what it uses, and calls their functions as
+module attributes.
+
 Exit codes: 0 success, 2 parse or configuration error or a search too large
 for memory (lower --limit), 3 guarantee violation (an output failed its
 certified bound or a CertificateError was raised, which signals an
@@ -21,8 +25,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import algorithms, bounds, formats, generators, oracle
-from .bounds import frac_str
+from . import formats
 from .graph import CertificateError, Graph, GraphError, verify_k_independent
 
 EXIT_OK = 0
@@ -49,6 +52,8 @@ def _load_source(args: argparse.Namespace) -> Graph:
     if getattr(args, "file", None):
         return formats.load_graph(args.file)
     if getattr(args, "family", None):
+        from . import generators
+
         spec = generators.parse_family(args.family)
         return generators.make_graph(spec, default_seed=getattr(args, "seed", None))
     raise GraphError("a graph source is required (--file or --family)")
@@ -81,6 +86,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
+    from . import bounds
+
     g = _load_source(args)
     report = bounds.bound_report(g, args.k)
     rows = [
@@ -110,6 +117,9 @@ _ALGOS = {
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from . import algorithms, bounds
+    from .bounds import frac_str
+
     g = _load_source(args)
     algo_name, bound_name, strict = _ALGOS[args.algo]
     strict = strict and g.n > 0  # with no vertices every guarantee is >= 0
@@ -145,6 +155,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_exact(args: argparse.Namespace) -> int:
+    from . import oracle
+
     g = _load_source(args)
     if args.chi:
         chi = oracle.chi_k_exact(g, args.k, limit=args.limit)
@@ -171,6 +183,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    from . import bounds
+    from .bounds import frac_str
+
     header = ["d", "lower", "upper", "witness", "alpha", "n", "discrepancy"]
     rows, lines = [], ["  d  lower   upper   witness (alpha_2/n)"]
     for r in bounds.table_f2(limit=args.limit):
@@ -188,6 +203,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from . import algorithms, bounds, generators, oracle
+    from .bounds import frac_str
+
     if args.reps < 1:
         raise GraphError(f"reps must be at least 1, got {args.reps}")
     spec = generators.parse_family(args.family)

@@ -12,7 +12,7 @@ Vertex layout conventions are fixed so outputs are reproducible:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .graph import Graph, GraphError, build, copies, disjoint_union, remove_edges_of
 
@@ -154,14 +154,13 @@ def random_gnm(n: int, m: int, seed: int) -> Graph:
     return build(n, [_pair_decode(p) for p in sorted(chosen)])
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """A parsed generator invocation, e.g. from a CLI string."""
 
     family: str
     parameters: tuple[int, ...] = ()
     seed: int | None = None
-    sub_specs: tuple["FamilySpec", ...] = field(default_factory=tuple)
+    sub_specs: tuple[FamilySpec, ...] = ()
 
     def __str__(self) -> str:
         if self.family == "blend":

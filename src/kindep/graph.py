@@ -9,9 +9,8 @@ values; no floats appear anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
 class GraphError(ValueError):
@@ -90,8 +89,7 @@ class Graph:
         return f"Graph(n={self.n}, e={self.edge_count()})"
 
 
-@dataclass(frozen=True)
-class WitnessSet:
+class WitnessSet(NamedTuple):
     """A vertex set together with the k it certifies."""
 
     vertices: tuple[int, ...]

@@ -18,7 +18,6 @@ state twice and keeps no memo: its memory is a stack at most n levels deep.
 
 from __future__ import annotations
 
-from . import algorithms
 from .graph import CertificateError, Graph, GraphError, WitnessSet, verify_k_independent
 
 DEFAULT_ALPHA_LIMIT = 40
@@ -120,12 +119,6 @@ class _BranchAndBound:
         self.nodes = 0
         self.stack: list[tuple[int, int]] = []
 
-    def seed(self, mask: int) -> None:
-        size = mask.bit_count()
-        if size > self.best_size:
-            self.best_size = size
-            self.best_mask = mask
-
     def search(self, root: int) -> None:
         masks, k, stack = self.masks, self.k, self.stack
         verts = [v for v in range(root.bit_length()) if root >> v & 1]
@@ -209,10 +202,12 @@ def alpha_k_exact(
 ) -> tuple[int, WitnessSet]:
     """Exact k-independence number with a witness set.
 
-    Branch-and-bound per connected component, seeded with the deletion
-    greedy's certified set.  The witness is the first maximum set of the
-    remove-a-vertex search order in `_BranchAndBound`; its bounds only skip
-    subtrees holding no better set, so they never change the witness.
+    Branch-and-bound per connected component, started with no incumbent:
+    its first dive removes a max-degree vertex each time, so its first
+    record is the deletion greedy's set on that component.  The witness is
+    the first maximum set of the remove-a-vertex search order in
+    `_BranchAndBound`; its bounds only skip subtrees holding no better set,
+    so they never change the witness.
     Refuses graphs larger than `limit` (default 40) rather than silently
     running for hours.  The search never repeats a state, so it keeps no
     memo and its memory is a stack at most n levels deep however long it
@@ -227,16 +222,10 @@ def alpha_k_exact(
         return 0, WitnessSet((), k)
 
     masks = _adjacency_masks(g)
-    # The greedy on G restricted to a component C is the greedy on G[C]:
-    # deletions elsewhere leave C's live degrees alone, and re-indexing C
-    # keeps its order, so ties break alike.  One run seeds every component.
-    seed_mask = sum(1 << v for v in algorithms.caro_tuza_greedy(g, k)[0].vertices)
     chosen: list[int] = []
     for comp in _components(g):
-        comp_mask = sum(1 << v for v in comp)
         bb = _BranchAndBound(masks, k)
-        bb.seed(seed_mask & comp_mask)
-        bb.search(comp_mask)
+        bb.search(sum(1 << v for v in comp))
         chosen += [v for v in comp if bb.best_mask >> v & 1]
     witness = WitnessSet(tuple(sorted(chosen)), k)
     if not verify_k_independent(g, witness.vertices, k):

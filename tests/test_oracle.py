@@ -230,12 +230,6 @@ class _FrozenBranchAndBound:
         self.visited = set()
         self.nodes = 0
 
-    def seed(self, mask):
-        size = mask.bit_count()
-        if size > self.best_size:
-            self.best_size = size
-            self.best_mask = mask
-
     def search(self, candidates):
         self.nodes += 1
         if candidates in self.visited:
@@ -264,16 +258,25 @@ class _FrozenBranchAndBound:
             self.search(candidates & ~bit)
 
 
+def _seed(bb, mask):
+    """Start a search with the k-independent set `mask` as its best record."""
+    bb.best_size = mask.bit_count()
+    bb.best_mask = mask
+
+
 def solve_with(make_search, g, k):
-    """alpha_k_exact's driver around a given search: (alpha, witness, nodes).
-    make_search(masks, k) builds the search of one component."""
+    """alpha_k_exact's driver around a given search, each component seeded
+    with the greedy's set on it: (alpha, witness, nodes).  A seed changes no
+    witness (the unseeded search's first record is that set) but fixes the
+    node counts recorded below.  make_search(masks, k) builds the search of
+    one component."""
     masks = oracle._adjacency_masks(g)
     chosen, nodes = [], 0
     for comp in oracle._components(g):
         sub, mapping = induced_subgraph(g, comp)
         seed_set, _ = caro_tuza_greedy(sub, k)
         bb = make_search(masks, k)
-        bb.seed(sum(1 << mapping[v] for v in seed_set.vertices))
+        _seed(bb, sum(1 << mapping[v] for v in seed_set.vertices))
         bb.search(sum(1 << v for v in comp))
         nodes += bb.nodes
         chosen += [v for v in comp if bb.best_mask >> v & 1]
@@ -318,7 +321,7 @@ class TestAgainstFrozenSearch:
 
     def test_multi_component_witnesses_identical(self, corpus100):
         # solve_with seeds each component from the greedy on its own
-        # induced subgraph; alpha_k_exact restricts one greedy run on G.
+        # induced subgraph; alpha_k_exact searches each one unseeded.
         graphs = [disjoint_union(g, h) for g, h in zip(corpus100[::2], corpus100[1::2])]
         graphs += [copies(3, random_gnm(n, n, 400 + n)) for n in range(3, 8)]
         graphs += [disjoint_union(random_gnm(n, 3 * n, n), star(4)) for n in range(8, 16)]

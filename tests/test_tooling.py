@@ -1,6 +1,9 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,3 +59,41 @@ def test_no_neighbor_set_calls(path):
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
              and getattr(node.func, "attr", getattr(node.func, "id", None)) == "neighbor_set"]
     assert lines == [], f"{path.name} calls neighbor_set on lines {lines}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_dataclasses_import(path):
+    # dataclasses pulls in inspect, ast, dis and tokenize: about 10 ms of
+    # every CLI call.  Records are NamedTuples or plain classes.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+             or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
+    assert lines == [], f"{path.name} imports dataclasses on lines {lines}"
+
+
+# Runs kindep.cli.main on argv, then prints the loaded module names.
+_PROBE = (
+    "import sys; from kindep.cli import main; code = main(sys.argv[1:]); "
+    "print(' '.join(sorted(sys.modules))); sys.exit(code)"
+)
+_HEAVY = {"kindep.algorithms", "kindep.bounds", "kindep.generators", "kindep.oracle"}
+
+
+@pytest.mark.parametrize("argv,unloaded", [
+    (["verify", "--set", "{set}"], _HEAVY),
+    (["exact"], _HEAVY - {"kindep.oracle"}),
+    (["run", "--algo", "alg2"], set()),
+])
+def test_subcommand_loads_only_what_it_runs(tmp_path, argv, unloaded):
+    graph_file, set_file = tmp_path / "g.txt", tmp_path / "s.txt"
+    graph_file.write_text("4 3\n0 1\n1 2\n2 3\n")
+    set_file.write_text("0 3\n")
+    argv = [a.format(set=set_file) for a in argv] + ["--file", str(graph_file), "--k", "1"]
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert "kindep.cli" in loaded
+    assert loaded & (unloaded | {"dataclasses"}) == set()
