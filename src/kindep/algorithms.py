@@ -7,14 +7,14 @@ index, so identical inputs give identical outputs and traces.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .bounds import potential_f, residue_t
-from .graph import CertificateError, Graph, GraphError, WitnessSet, induced_subgraph
+from .bounds import frac_str, potential_f, residue_t
+from .graph import (CertificateError, Graph, GraphError, WitnessSet, induced_subgraph,
+                    verify_k_independent)
 
 
 class RunTrace:
@@ -39,10 +39,8 @@ class RunTrace:
             if tag == "DEL":
                 lines.append(f"DEL {step[1]} deg={step[2]}")
             elif tag == "MOVE":
-                phi = next(phis)
                 lines.append(
-                    f"MOVE {step[1]} {step[2]}->{step[3]} "
-                    f"phi={phi.numerator}/{phi.denominator}"
+                    f"MOVE {step[1]} {step[2]}->{step[3]} phi={frac_str(next(phis))}"
                 )
             elif tag == "RESTART":
                 lines.append(f"RESTART d={step[1]} t={step[2]} q={step[3]}")
@@ -158,8 +156,7 @@ def lovasz_partition(
         classes[cls[v]].append(v)
     part = Partition(tuple(tuple(c) for c in classes), caps)
     for c, cap in zip(part.classes, part.capacities):
-        members = set(c)
-        if any(len(members.intersection(g.neighbors(v))) > cap for v in c):
+        if not verify_k_independent(g, c, cap):
             raise CertificateError(f"a partition class exceeds its capacity {cap}")
     return part, trace
 
@@ -199,16 +196,6 @@ def lovasz_largest_class(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
     return WitnessSet(tuple(sorted(part.largest_class())), k), trace
 
 
-@functools.lru_cache(maxsize=128)
-def _potential_weights(k: int, max_deg: int) -> tuple[int, tuple[int, ...]]:
-    """Exact potential tracking over a common denominator: (scale, w) with
-    w[d] = f_k(d) * scale for d = 0..max_deg.  Cached because the oracle
-    seeds many small graphs that share a few (k, max degree) pairs."""
-    values = [potential_f(k, d) for d in range(max_deg + 1)]
-    scale = math.lcm(*(v.denominator for v in values))
-    return scale, tuple(int(v * scale) for v in values)
-
-
 def caro_tuza_greedy(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
     """Delete max-degree vertices until the rest induces max degree <= k.
 
@@ -222,7 +209,10 @@ def caro_tuza_greedy(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
     if g.n == 0:
         return WitnessSet((), k), trace
 
-    scale, w = _potential_weights(k, g.max_degree())
+    # Exact potentials over a common denominator: w[d] = f_k(d) * scale.
+    values = [potential_f(k, d) for d in range(g.max_degree() + 1)]
+    scale = math.lcm(*(v.denominator for v in values))
+    w = [int(v * scale) for v in values]
     s = sum(w[d] for d in g.degrees())
     trace.potential_values.append(Fraction(s, scale))
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .graph import Graph, GraphError
 
@@ -78,14 +78,14 @@ def main_bound(g: Graph, k: int) -> Fraction:
     return Fraction((k + 1) * g.n, d_up + k + 1)
 
 
-def theorem6_check(g: Graph, p: int, q: int, limit: int | None = None) -> bool:
+def theorem6_check(g: Graph, p: int, q: int) -> bool:
     """Check alpha_q <= ceil((q+1)/(p+1)) * alpha_p with oracle-exact values."""
     if not 0 <= p <= q:
         raise ValueError(f"need 0 <= p <= q, got p={p}, q={q}")
     from .oracle import alpha_k_exact
 
-    alpha_p, _ = alpha_k_exact(g, p, limit=limit)
-    alpha_q, _ = alpha_k_exact(g, q, limit=limit)
+    alpha_p, _ = alpha_k_exact(g, p)
+    alpha_q, _ = alpha_k_exact(g, q)
     ratio = -((q + 1) // -(p + 1))
     return alpha_q <= ratio * alpha_p
 
@@ -126,29 +126,24 @@ class BoundRow(NamedTuple):
 
 
 class BoundReport(NamedTuple):
-    """Named bound rows for one query, plus the inputs they were computed from."""
+    """Named bound rows for one graph, plus the inputs they were computed from."""
 
     k: int
     rows: tuple[BoundRow, ...]
-    n: int | None = None
-    edge_count: int | None = None
-    max_degree: int | None = None
-    avg_degree: Fraction | None = None
-    d: int | None = None
+    n: int
+    edge_count: int
+    max_degree: int
+    avg_degree: Fraction
 
     def to_json_dict(self) -> dict:
-        inputs: dict = {"k": self.k}
-        if self.n is not None:
-            inputs.update(
-                n=self.n,
-                edges=self.edge_count,
-                max_degree=self.max_degree,
-                avg_degree=frac_str(self.avg_degree),
-            )
-        if self.d is not None:
-            inputs["d"] = self.d
         return {
-            "inputs": inputs,
+            "inputs": {
+                "k": self.k,
+                "n": self.n,
+                "edges": self.edge_count,
+                "max_degree": self.max_degree,
+                "avg_degree": frac_str(self.avg_degree),
+            },
             "rows": [
                 {
                     "name": r.name,
@@ -165,14 +160,10 @@ class BoundReport(NamedTuple):
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def to_text(self) -> str:
-        lines = []
-        if self.n is not None:
-            lines.append(
-                f"n={self.n} e={self.edge_count} max_deg={self.max_degree} "
-                f"avg_deg={frac_str(self.avg_degree)} k={self.k}"
-            )
-        elif self.d is not None:
-            lines.append(f"k={self.k} d={self.d}")
+        lines = [
+            f"n={self.n} e={self.edge_count} max_deg={self.max_degree} "
+            f"avg_deg={frac_str(self.avg_degree)} k={self.k}"
+        ]
         width = max((len(r.name) for r in self.rows), default=0)
         for r in self.rows:
             flag = "" if r.applicable else "  [not applicable]"
@@ -216,7 +207,7 @@ def _h(r: int) -> int:
     return ((r - 1) ** (r + 3) - 1) // (r - 2)
 
 
-def f_upper_catalog(k: int, d: int) -> BoundReport:
+def f_upper_catalog(k: int, d: int) -> tuple[BoundRow, ...]:
     """The seven catalogued upper bounds on f(k,d), with applicability flags.
 
     Items 4 and 7 come from a non-constructive existence argument for
@@ -285,7 +276,7 @@ def f_upper_catalog(k: int, d: int) -> BoundReport:
             "f(k,d) < (k+2)/(d + c(d/2)^(1/(k+2)) + 1) for an existential c > 0",
         )
     )
-    return BoundReport(k=k, rows=tuple(rows), d=d)
+    return tuple(rows)
 
 
 class WitnessRatio(NamedTuple):
@@ -295,15 +286,13 @@ class WitnessRatio(NamedTuple):
     max_degree: int
 
 
-def witness_ratio(
-    g: Graph, k: int, d: int, alpha: int | None = None, limit: int | None = None
-) -> WitnessRatio:
+def witness_ratio(g: Graph, k: int, d: int) -> WitnessRatio:
     """Certified upper bound alpha_k(G)/n(G) on f(k,d) from a witness graph.
 
-    Requires d(G) <= d.  A supplied alpha is cross-checked against the
-    exact oracle whenever the graph is within oracle limits; a mismatch is
-    an error, not a silent override.  The result also reports the maximum
-    degree, so the same value certifies the degree-capped variant.
+    Requires d(G) <= d.  alpha_k(G) comes from the exact oracle at its
+    default cap, so a larger witness raises `OracleLimitError`.  The result
+    also reports the maximum degree, so the same value certifies the
+    degree-capped variant.
     """
     if g.n == 0:
         raise GraphError("witness graph must be nonempty")
@@ -311,15 +300,9 @@ def witness_ratio(
         raise GraphError(
             f"witness has average degree {frac_str(g.avg_degree())} > d={d}"
         )
-    from .oracle import DEFAULT_ALPHA_LIMIT, alpha_k_exact
+    from .oracle import alpha_k_exact
 
-    eff_limit = DEFAULT_ALPHA_LIMIT if limit is None else limit
-    if alpha is None:
-        alpha, _ = alpha_k_exact(g, k, limit=eff_limit)
-    elif g.n <= eff_limit:
-        exact, _ = alpha_k_exact(g, k, limit=eff_limit)
-        if exact != alpha:
-            raise GraphError(f"supplied alpha={alpha} contradicts oracle value {exact}")
+    alpha, _ = alpha_k_exact(g, k)
     return WitnessRatio(Fraction(alpha, g.n), alpha, g.n, g.max_degree())
 
 
@@ -364,7 +347,7 @@ def _table_witness(d: int) -> tuple[Graph, str]:
     return generators.thm14_5(d, q), f"thm14_5:d={d},q={q}"
 
 
-def table_f2(limit: int | None = None) -> list[TableRow]:
+def table_f2() -> list[TableRow]:
     """Recompute the table of bounds on f(2,d) for d = 0..10.
 
     Lower bounds come from the residue formula; upper bounds from witness
@@ -376,10 +359,9 @@ def table_f2(limit: int | None = None) -> list[TableRow]:
     for d in range(11):
         lower = f_lower(2, d)
         g, witness_name = _table_witness(d)
-        wr = witness_ratio(g, 2, d, limit=limit)
-        catalog = f_upper_catalog(2, d)
+        wr = witness_ratio(g, 2, d)
         formula_vals = [
-            r.value for r in catalog.rows if r.applicable and r.value is not None
+            r.value for r in f_upper_catalog(2, d) if r.applicable and r.value is not None
         ]
         best_formula = min(formula_vals) if formula_vals else None
         notes = []

@@ -12,6 +12,7 @@ Vertex layout conventions are fixed so outputs are reproducible:
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .graph import Graph, GraphError, build, copies, disjoint_union, remove_edges_of
@@ -128,8 +129,6 @@ def blend(g1: Graph, g2: Graph) -> Graph:
 
 def _pair_decode(p: int) -> tuple[int, int]:
     # Inverse of the ranking (u, v) -> v(v-1)/2 + u over pairs with u < v.
-    import math
-
     v = (1 + math.isqrt(1 + 8 * p)) // 2
     u = p - v * (v - 1) // 2
     return u, v
@@ -161,14 +160,6 @@ class FamilySpec(NamedTuple):
     parameters: tuple[int, ...] = ()
     seed: int | None = None
     sub_specs: tuple[FamilySpec, ...] = ()
-
-    def __str__(self) -> str:
-        if self.family == "blend":
-            return "blend:" + "+".join(str(s) for s in self.sub_specs)
-        parts = [str(p) for p in self.parameters]
-        if self.seed is not None:
-            parts.append(f"seed={self.seed}")
-        return self.family + (":" + ",".join(parts) if parts else "")
 
 
 # family -> (parameter names, constructor).  blend and gnm are built in
@@ -232,14 +223,9 @@ def parse_family(text: str) -> FamilySpec:
             params.append(positional[i])
         else:
             raise GraphError(f"family '{name}' needs parameter '{pname}'")
-    seed = keyed.get("seed")
     if len(positional) > len(names):
-        extra = positional[len(names):]
-        if name == "gnm" and seed is None and len(extra) == 1:
-            seed = extra[0]
-        else:
-            raise GraphError(f"too many parameters for family '{name}'")
-    return FamilySpec(name, tuple(params), seed)
+        raise GraphError(f"too many parameters for family '{name}'")
+    return FamilySpec(name, tuple(params), keyed.get("seed"))
 
 
 def make_graph(spec: FamilySpec, default_seed: int | None = None) -> Graph:

@@ -35,7 +35,8 @@ from kindep.generators import (
     wagner_r8,
 )
 from kindep.graph import GraphError, build, copies, disjoint_union
-from kindep.oracle import alpha_k_bruteforce, alpha_k_exact
+from kindep.oracle import (DEFAULT_ALPHA_LIMIT, OracleLimitError, alpha_k_bruteforce,
+                           alpha_k_exact)
 
 from conftest import cycle, petersen
 
@@ -197,41 +198,41 @@ class TestClosedFormBounds:
 
 class TestUpperCatalog:
     def test_k2_d3_chain(self):
-        report = f_upper_catalog(2, 3)
-        row = next(r for r in report.rows if r.name == "item5_k2_chain")
+        catalog = f_upper_catalog(2, 3)
+        row = next(r for r in catalog if r.name == "item5_k2_chain")
         assert row.applicable and row.value == Fraction(3, 5) and "q=0" in row.note
 
     def test_k2_d2_sparse(self):
-        report = f_upper_catalog(2, 2)
-        row = next(r for r in report.rows if r.name == "item6_d2")
+        catalog = f_upper_catalog(2, 2)
+        row = next(r for r in catalog if r.name == "item6_d2")
         assert row.applicable and row.value == Fraction(9, 13)
 
     def test_one_factor_item_matches_exact_value(self):
-        report = f_upper_catalog(1, 2)
-        row = next(r for r in report.rows if r.name == "item2_minus_1factor")
+        catalog = f_upper_catalog(1, 2)
+        row = next(r for r in catalog if r.name == "item2_minus_1factor")
         assert row.applicable and row.value == Fraction(1, 2) == f1_exact(2)
 
     def test_asymptotic_item_has_no_value(self):
         for k, d in [(3, 5), (6, 100)]:
-            report = f_upper_catalog(k, d)
-            row = next(r for r in report.rows if r.name == "item7_asymptotic")
+            catalog = f_upper_catalog(k, d)
+            row = next(r for r in catalog if r.name == "item7_asymptotic")
             assert row.applicable and row.value is None
         row = next(
-            r for r in f_upper_catalog(2, 5).rows if r.name == "item7_asymptotic"
+            r for r in f_upper_catalog(2, 5) if r.name == "item7_asymptotic"
         )
         assert not row.applicable
 
     def test_high_girth_item_threshold(self):
-        ok = next(r for r in f_upper_catalog(3, 122).rows if r.name == "item4_high_girth")
+        ok = next(r for r in f_upper_catalog(3, 122) if r.name == "item4_high_girth")
         assert ok.applicable and ok.value == Fraction(5, 126)
-        edge = next(r for r in f_upper_catalog(3, 121).rows if r.name == "item4_high_girth")
+        edge = next(r for r in f_upper_catalog(3, 121) if r.name == "item4_high_girth")
         assert not edge.applicable
 
     def test_sandwich_against_lower(self):
         for k in range(7):
             for d in range(21):
                 lower = f_lower(k, d)
-                for row in f_upper_catalog(k, d).rows:
+                for row in f_upper_catalog(k, d):
                     if row.applicable and row.value is not None:
                         assert lower <= row.value, (k, d, row.name)
 
@@ -255,13 +256,9 @@ class TestWitnessRatio:
         with pytest.raises(GraphError):
             witness_ratio(complete(5), 1, 3)
 
-    def test_contradicting_alpha_rejected(self):
-        with pytest.raises(GraphError):
-            witness_ratio(complete(4), 1, 3, alpha=3)
-
-    def test_supplied_alpha_accepted_when_correct(self):
-        wr = witness_ratio(complete(4), 1, 3, alpha=2)
-        assert wr.value == Fraction(1, 2)
+    def test_witness_over_oracle_cap(self):
+        with pytest.raises(OracleLimitError):
+            witness_ratio(build(DEFAULT_ALPHA_LIMIT + 1, []), 0, 0)
 
 
 @pytest.fixture(scope="module")

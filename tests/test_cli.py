@@ -210,6 +210,11 @@ class TestTable:
         code, out, _ = run_cli(capsys, "table")
         assert out.count("!") == 1 and "5/13" in out
 
+    def test_no_limit_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--limit", "25"])
+        assert exc.value.code == 2 and "--limit" in capsys.readouterr().err
+
 
 class TestBench:
     def test_csv_shape_and_content(self, capsys):

@@ -280,15 +280,6 @@ class TestFamilySpec:
         g = make_graph(parse_family(text))
         assert (g.n, g.edge_count()) == (n, e)
 
-    def test_round_trip_rendering(self):
-        spec = parse_family("thm14_5:d=3,q=0")
-        assert make_graph(parse_family(str(spec))) == make_graph(spec)
-
-    def test_gnm_positional_seed(self):
-        assert make_graph(parse_family("gnm:30,60,7")) == make_graph(
-            parse_family("gnm:n=30,m=60,seed=7")
-        )
-
     def test_default_seed_fallback(self):
         spec = parse_family("gnm:n=10,m=5")
         assert make_graph(spec, default_seed=3) == random_gnm(10, 5, 3)
@@ -306,3 +297,9 @@ class TestFamilySpec:
     def test_missing_parameter(self):
         with pytest.raises(GraphError):
             parse_family("thm14_5:d=3")
+
+    @pytest.mark.parametrize("text", ["j:6,7", "gnm:30,60,7"])
+    def test_too_many_parameters(self, text):
+        # A seed is given only as seed=... (or --seed), never positionally.
+        with pytest.raises(GraphError, match="too many parameters"):
+            parse_family(text)

@@ -55,9 +55,10 @@ RECORDS = {
     "Partition(classes=((0,), (1, 2)), capacities=(0, 1))": Partition(((0,), (1, 2)), (0, 1)),
     "BoundRow(name='caro_tuza_sum', value=Fraction(3, 2), applicable=True, note='')":
         BoundRow("caro_tuza_sum", Fraction(3, 2), True),
-    "BoundReport(k=1, rows=(BoundRow(name='main_bound', value=None, applicable=False, "
-    "note='d < k'),), n=None, edge_count=None, max_degree=None, avg_degree=None, d=3)":
-        BoundReport(1, (BoundRow("main_bound", None, False, "d < k"),), d=3),
+    "BoundReport(k=1, rows=(BoundRow(name='main_bound', value=Fraction(2, 1), "
+    "applicable=True, note=''),), n=4, edge_count=3, max_degree=2, "
+    "avg_degree=Fraction(3, 2))":
+        BoundReport(1, (BoundRow("main_bound", Fraction(2), True),), 4, 3, 2, Fraction(3, 2)),
     "WitnessRatio(value=Fraction(2, 3), alpha=2, n=3, max_degree=2)":
         WitnessRatio(Fraction(2, 3), 2, 3, 2),
     "TableRow(d=0, lower=Fraction(1, 1), upper=Fraction(1, 1), witness='complete:1', "

@@ -84,6 +84,7 @@ _HEAVY = {"kindep.algorithms", "kindep.bounds", "kindep.generators", "kindep.ora
     (["verify", "--set", "{set}"], _HEAVY),
     (["exact"], _HEAVY - {"kindep.oracle"}),
     (["run", "--algo", "alg2"], set()),
+    (["bound"], _HEAVY - {"kindep.bounds"}),
 ])
 def test_subcommand_loads_only_what_it_runs(tmp_path, argv, unloaded):
     graph_file, set_file = tmp_path / "g.txt", tmp_path / "s.txt"
