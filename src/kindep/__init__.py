@@ -10,8 +10,8 @@ import importlib
 
 # module -> the public names it defines.
 _NAMES = {
-    "graph": "CertificateError Graph GraphError WitnessSet build complement copies"
-    " disjoint_union girth induced_subgraph remove_edges_of verify_k_independent",
+    "graph": "CertificateError Graph GraphError WitnessSet build copies disjoint_union"
+    " girth induced_subgraph verify_k_independent",
     "generators": "FamilySpec blend complete complete_minus_clique complete_minus_cycle"
     " j_graph make_graph parse_family random_gnm star thm10_odd thm12_2 thm14_5"
     " thm14_6 wagner_r8",

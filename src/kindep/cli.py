@@ -8,10 +8,11 @@ Each subcommand imports the kindep modules beyond `graph` and `formats` when
 it runs, so a call loads only what it uses, and calls their functions as
 module attributes.
 
-Exit codes: 0 success, 2 parse or configuration error or a search too large
-for memory (lower --limit), 3 guarantee violation (an output failed its
-certified bound or a CertificateError was raised, which signals an
-implementation bug rather than bad input).
+Exit codes: 0 success, 2 parse or configuration error or an input too large
+for memory (only exact and bench, which search, suggest a lower --limit), 3
+guarantee violation (an output failed its certified bound or a
+CertificateError was raised, which signals an implementation bug rather than
+bad input).
 """
 
 from __future__ import annotations
@@ -336,8 +337,11 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
     except MemoryError:
-        sys.stderr.write("error: the search ran out of memory (MemoryError);"
-                         " use a smaller graph or a lower --limit\n")
+        if hasattr(args, "limit"):  # exact and bench, the subcommands that search
+            sys.stderr.write("error: the search ran out of memory (MemoryError);"
+                             " use a smaller graph or a lower --limit\n")
+        else:
+            sys.stderr.write("error: ran out of memory (MemoryError); use a smaller graph\n")
         return EXIT_CONFIG
     except CertificateError as exc:
         sys.stderr.write(f"error: certificate check failed: {exc}\n")

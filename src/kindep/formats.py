@@ -21,6 +21,17 @@ class GraphFormatError(ValueError):
     """Malformed graph file; the message carries the offending line number."""
 
 
+def _header(lineno: int, a: str, b: str) -> tuple[int, int]:
+    """The vertex and edge counts of a header line."""
+    try:
+        n, m = int(a), int(b)
+    except ValueError:
+        raise GraphFormatError(f"line {lineno}: non-integer header") from None
+    if n < 0:
+        raise GraphFormatError(f"line {lineno}: vertex count must be nonnegative, got {n}")
+    return n, m
+
+
 def _edge(lineno: int, a: str, b: str, n: int, base: int) -> tuple[int, int]:
     """The 0-based edge of a line whose endpoints a, b count from `base`;
     errors name the line and the endpoints as the file counts them."""
@@ -46,10 +57,7 @@ def read_edge_list(stream: TextIO) -> Graph:
         if n is None:
             if len(parts) != 2:
                 raise GraphFormatError(f"line {lineno}: expected header 'n m'")
-            try:
-                n, m = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: non-integer header") from None
+            n, m = _header(lineno, parts[0], parts[1])
             continue
         if len(parts) != 2:
             raise GraphFormatError(f"line {lineno}: expected edge 'u v'")
@@ -58,10 +66,7 @@ def read_edge_list(stream: TextIO) -> Graph:
         raise GraphFormatError("line 1: missing 'n m' header")
     if len(edges) != m:
         raise GraphFormatError(f"header announced {m} edges, file has {len(edges)}")
-    try:
-        return build(n, edges)
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from None
+    return build(n, edges)
 
 
 def read_dimacs(stream: TextIO) -> Graph:
@@ -76,10 +81,7 @@ def read_dimacs(stream: TextIO) -> Graph:
                 raise GraphFormatError(f"line {lineno}: duplicate problem line")
             if len(parts) < 4 or parts[1] not in ("edge", "col"):
                 raise GraphFormatError(f"line {lineno}: expected 'p edge n m'")
-            try:
-                n, m = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: non-integer header") from None
+            n, m = _header(lineno, parts[2], parts[3])
         elif parts[0] == "e":
             if n is None:
                 raise GraphFormatError(f"line {lineno}: edge before problem line")
@@ -92,10 +94,7 @@ def read_dimacs(stream: TextIO) -> Graph:
         raise GraphFormatError("missing 'p edge n m' line")
     if len(edges) != m:
         raise GraphFormatError(f"header announced {m} edges, file has {len(edges)}")
-    try:
-        return build(n, edges)
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from None
+    return build(n, edges)
 
 
 def dumps_edge_list(g: Graph) -> str:

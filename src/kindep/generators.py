@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .graph import Graph, GraphError, build, copies, disjoint_union, remove_edges_of
+from .graph import Graph, GraphError, build, copies, disjoint_union
 
 _MASK64 = (1 << 64) - 1
 
@@ -54,21 +54,21 @@ def j_graph(n: int) -> Graph:
     """Complete graph on an even number of vertices minus a perfect matching."""
     if n < 2 or n % 2:
         raise GraphError(f"j_graph needs an even n >= 2, got {n}")
-    return remove_edges_of(complete(n), [(2 * i, 2 * i + 1) for i in range(n // 2)])
+    return build(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if u % 2 or v != u + 1])
 
 
 def complete_minus_clique(n: int, q: int) -> Graph:
     if not 0 <= q <= n:
         raise GraphError(f"need 0 <= q <= n, got q={q}, n={n}")
-    return remove_edges_of(
-        complete(n), [(u, v) for u in range(q) for v in range(u + 1, q)]
-    )
+    return build(n, [(u, v) for u in range(n) for v in range(max(u + 1, q), n)])
 
 
 def complete_minus_cycle(n: int) -> Graph:
     if n < 3:
         raise GraphError(f"cycle removal needs n >= 3, got {n}")
-    return remove_edges_of(complete(n), [(i, (i + 1) % n) for i in range(n)])
+    return build(n, [(u, v) for u in range(n) for v in range(u + 2, n)
+                     if (u, v) != (0, n - 1)])
 
 
 def star(m: int) -> Graph:
@@ -90,10 +90,8 @@ def thm14_5(d: int, q: int) -> Graph:
         raise GraphError(f"thm14_5 needs q >= 0, got {q}")
     if d > 4 + 6 * q:
         raise GraphError(f"thm14_5 needs d <= 4+6q, got d={d}, q={q}")
-    g = complete_minus_clique(d + 2, 3)
-    if q > 0:
-        g = disjoint_union(g, copies(q, complete_minus_clique(d + 1, 3)))
-    return g
+    return disjoint_union(complete_minus_clique(d + 2, 3),
+                          *[complete_minus_clique(d + 1, 3)] * q)
 
 
 def thm14_6(k: int) -> Graph:
@@ -107,10 +105,7 @@ def thm12_2(k: int) -> Graph:
     """K_{1,k+1} plus k isolated vertices."""
     if k < 0:
         raise GraphError(f"thm12_2 needs k >= 0, got {k}")
-    g = star(k + 1)
-    if k > 0:
-        g = disjoint_union(g, build(k, []))
-    return g
+    return build(2 * k + 2, [(0, i) for i in range(1, k + 2)])
 
 
 def thm10_odd(d: int) -> Graph:

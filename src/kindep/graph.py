@@ -28,8 +28,7 @@ class Graph:
     Vertices are the integers ``0..n-1``.  Adjacency is stored once, as one
     sorted tuple of neighbors per vertex, so `neighbors` iterates in
     increasing index order and tie-breaking in the algorithms built on top
-    is reproducible.  `neighbor_set` builds a fresh frozenset on every call,
-    and `adjacent` scans a tuple in O(deg).
+    is reproducible.  `neighbor_set` builds a fresh frozenset on every call.
     """
 
     __slots__ = ("n", "_adj")
@@ -46,9 +45,6 @@ class Graph:
 
     def neighbor_set(self, v: int) -> frozenset[int]:
         return frozenset(self._adj[v])
-
-    def adjacent(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
@@ -134,39 +130,21 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, .
     return Graph(len(kept), adj), tuple(kept)
 
 
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    """One copy of g followed by one copy of h (h's indices shifted by n(g))."""
-    off = g.n
-    adj = list(g._adj) + [[u + off for u in s] for s in h._adj]
-    return Graph(g.n + h.n, adj)
+def disjoint_union(*graphs: Graph) -> Graph:
+    """The graphs side by side, left to right, each one's indices shifted
+    by the orders of those before it."""
+    adj: list[list[int]] = []
+    for g in graphs:
+        off = len(adj)
+        adj.extend([u + off for u in s] for s in g._adj)
+    return Graph(len(adj), adj)
 
 
 def copies(q: int, g: Graph) -> Graph:
     """Disjoint union of q copies of g."""
     if q < 1:
         raise GraphError(f"number of copies must be positive, got {q}")
-    adj: list[list[int]] = []
-    for i in range(q):
-        off = i * g.n
-        adj.extend([u + off for u in s] for s in g._adj)
-    return Graph(q * g.n, adj)
-
-
-def complement(g: Graph) -> Graph:
-    full = set(range(g.n))
-    adj = [full.difference(g.neighbors(v), (v,)) for v in range(g.n)]
-    return Graph(g.n, adj)
-
-
-def remove_edges_of(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Remove the given edges; every edge must be present in g."""
-    adj = [set(s) for s in g._adj]
-    for u, v in edges:
-        if not (0 <= u < g.n and 0 <= v < g.n) or v not in adj[u]:
-            raise GraphError(f"edge ({u}, {v}) not present")
-        adj[u].discard(v)
-        adj[v].discard(u)
-    return Graph(g.n, adj)
+    return disjoint_union(*[g] * q)
 
 
 def girth(g: Graph) -> int | float:

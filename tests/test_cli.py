@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from kindep import oracle
+from kindep import formats, oracle
 from kindep.cli import main
 from kindep.formats import load_graph
 from kindep.generators import j_graph, make_graph, parse_family
@@ -327,7 +327,18 @@ class TestExitContract:
             capsys, "exact", "--family", "complete:5", "--k", "0", "--limit", "2000"
         )
         assert code == 2 and out == ""
-        assert err.startswith("error:") and "--limit" in err and exc.__name__ in err
+        assert err == ("error: the search ran out of memory (MemoryError);"
+                       " use a smaller graph or a lower --limit\n")
+
+    @pytest.mark.parametrize("argv", [["bound", "--k", "1"], ["verify", "--k", "1", "--set", "s"]])
+    def test_out_of_memory_without_search_names_no_limit(self, capsys, monkeypatch, argv):
+        def boom(path):
+            raise MemoryError
+
+        monkeypatch.setattr(formats, "load_graph", boom)
+        code, out, err = run_cli(capsys, *argv, "--file", "g.txt")
+        assert code == 2 and out == ""
+        assert "MemoryError" in err and "--limit" not in err
 
     def test_deep_clique_search_exits_0(self, capsys):
         # Far deeper than the interpreter's recursion limit allows a recursive search.

@@ -95,12 +95,12 @@ class TestWagnerR8:
 
         g = wagner_r8()
         triangle = any(
-            g.adjacent(a, b) and g.adjacent(b, c) and g.adjacent(a, c)
+            b in g.neighbors(a) and c in g.neighbors(b) and c in g.neighbors(a)
             for a, b, c in combinations(range(8), 3)
         )
         # A non-adjacent pair with two common neighbors closes a 4-cycle.
         square = any(
-            not g.adjacent(a, c)
+            c not in g.neighbors(a)
             and len(g.neighbor_set(a) & g.neighbor_set(c)) >= 2
             for a, c in combinations(range(8), 2)
         )
@@ -197,6 +197,56 @@ class TestMatchingFamilies:
     def test_even_d_rejected(self):
         with pytest.raises(GraphError):
             thm10_odd(2)
+
+
+def frozen_complete_minus(n, removed):
+    """complete(n) with the removed edges taken out, each of which must be
+    an edge of complete(n): the generators' former construction."""
+    drop = {frozenset(e) for e in removed}
+    assert all(len(e) == 2 and e <= set(range(n)) for e in drop)
+    return build(n, [e for e in complete(n).edges() if frozenset(e) not in drop])
+
+
+def frozen_side_by_side(*graphs):
+    """The graphs on consecutive index blocks, built from their edges."""
+    edges, off = [], 0
+    for g in graphs:
+        edges += [(u + off, v + off) for u, v in g.edges()]
+        off += g.n
+    return build(off, edges)
+
+
+class TestAgainstFrozenConstructions:
+    @pytest.mark.parametrize("n", range(2, 17, 2))
+    def test_j_graph(self, n):
+        assert j_graph(n) == frozen_complete_minus(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_complete_minus_clique(self, n):
+        for q in range(n + 1):
+            clique = [(u, v) for u in range(q) for v in range(u + 1, q)]
+            assert complete_minus_clique(n, q) == frozen_complete_minus(n, clique)
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_complete_minus_cycle(self, n):
+        cycle = [(i, (i + 1) % n) for i in range(n)]
+        assert complete_minus_cycle(n) == frozen_complete_minus(n, cycle)
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_thm12_2(self, k):
+        assert thm12_2(k) == frozen_side_by_side(star(k + 1), build(k, []))
+
+    def test_thm14_5(self):
+        checked = 0
+        for d in range(2, 11):
+            for q in range(4):
+                if d > 4 + 6 * q:
+                    continue
+                block = frozen_complete_minus(d + 1, [(0, 1), (0, 2), (1, 2)])
+                first = frozen_complete_minus(d + 2, [(0, 1), (0, 2), (1, 2)])
+                assert thm14_5(d, q) == frozen_side_by_side(first, *[block] * q), (d, q)
+                checked += 1
+        assert checked == 30
 
 
 class TestBlend:

@@ -9,7 +9,7 @@ import pytest
 
 from kindep import oracle
 from kindep.generators import complete, random_gnm, star, wagner_r8
-from kindep.graph import build, complement, disjoint_union, girth, induced_subgraph
+from kindep.graph import build, disjoint_union, girth, induced_subgraph
 
 from conftest import cycle, path, petersen
 
@@ -21,10 +21,6 @@ def to_nx(g):
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges())
     return h
-
-
-def edge_set(g):
-    return {frozenset(e) for e in g.edges()}
 
 
 def random_tree(n, seed):
@@ -70,11 +66,6 @@ class TestGirth:
 
 
 class TestConstructions:
-    def test_complement(self, corpus200):
-        for g in corpus200:
-            assert edge_set(complement(g)) == {
-                frozenset(e) for e in nx.complement(to_nx(g)).edges()}
-
     def test_induced_subgraph(self, corpus200):
         rnd = random.Random(8300)
         for g in corpus200:

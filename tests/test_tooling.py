@@ -72,6 +72,41 @@ def test_no_dataclasses_import(path):
     assert lines == [], f"{path.name} imports dataclasses on lines {lines}"
 
 
+# The README's module table, bottom layer first: each module imports only
+# modules listed before it.  `kindep/__init__` imports no submodule, and
+# `bounds` may import `oracle` inside a function, the one documented exception.
+_LAYERS = ("__init__", "graph", "formats", "generators", "bounds", "algorithms", "oracle",
+           "cli", "__main__")
+_UPWARD_IN_FUNCTION = {("bounds", "oracle")}
+
+
+def test_imports_follow_the_readme_layering():
+    rank = {m: i for i, m in enumerate(_LAYERS)}
+    assert {p.stem for p in SRC.glob("*.py")} == set(rank)
+    edges, upward = set(), []
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        in_function = {id(node) for fn in ast.walk(tree)
+                       if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                       for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+                continue
+            targets = [node.module.split(".")[0]] if node.module else [a.name for a in node.names]
+            for target in targets:
+                edge = (path.stem, target)
+                edges.add(edge)
+                if rank[target] >= rank[path.stem] and not (
+                        edge in _UPWARD_IN_FUNCTION and id(node) in in_function):
+                    upward.append(f"{path.name}:{node.lineno} imports {target}")
+    assert upward == []
+    # No cycles: peel off modules that import nothing still left until none remain.
+    left = set(rank)
+    while leaves := {m for m in left if not any(a == m and b in left for a, b in edges)}:
+        left -= leaves
+    assert left == set(), f"modules on or above an import cycle: {sorted(left)}"
+
+
 # Runs kindep.cli.main on argv, then prints the loaded module names.
 _PROBE = (
     "import sys; from kindep.cli import main; code = main(sys.argv[1:]); "
