@@ -23,7 +23,6 @@ import io
 import json
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import formats
@@ -118,6 +117,8 @@ _ALGOS = {
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from fractions import Fraction
+
     from . import algorithms, bounds
     from .bounds import frac_str
 
@@ -204,6 +205,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from fractions import Fraction
+
     from . import algorithms, bounds, generators, oracle
     from .bounds import frac_str
 

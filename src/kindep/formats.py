@@ -6,15 +6,27 @@ Two formats are supported:
   0-based indices; ``#`` starts a comment line.
 * DIMACS-like: ``c`` comment lines, one ``p edge n m`` header, then
   ``e u v`` lines with 1-based indices.
+
+A line ends at each line feed.  A stream opened in text mode with the
+default ``newline`` argument has already turned CR LF and lone CR line
+ends into line feeds.
+
+Each reader walks the file line by line up to the header.  The text after
+the header is then checked and parsed as one block by `_edge_block`, with
+string and integer operations that run in C.  If that check rejects
+anything, the reader goes on line by line from the header, and that loop
+alone decides what is valid and which error is raised.
 """
 
 from __future__ import annotations
 
 import io
+import operator
+import re
 from pathlib import Path
-from typing import TextIO
+from typing import Iterable, TextIO
 
-from .graph import Graph, build
+from .graph import Graph
 
 
 class GraphFormatError(ValueError):
@@ -29,6 +41,8 @@ def _header(lineno: int, a: str, b: str) -> tuple[int, int]:
         raise GraphFormatError(f"line {lineno}: non-integer header") from None
     if n < 0:
         raise GraphFormatError(f"line {lineno}: vertex count must be nonnegative, got {n}")
+    if m < 0:
+        raise GraphFormatError(f"line {lineno}: edge count must be nonnegative, got {m}")
     return n, m
 
 
@@ -47,17 +61,74 @@ def _edge(lineno: int, a: str, b: str, n: int, base: int) -> tuple[int, int]:
     return u, v
 
 
+def _graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    """The graph on 0..n-1 with these checked edges; repeated edges collapse."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    g = Graph(n, adj)
+    # Each neighbour tuple is sorted, so a repeated edge shows as equal neighbours.
+    if any(any(map(operator.eq, s, s[1:])) for s in map(g.neighbors, range(n))):
+        g = Graph(n, map(set, map(g.neighbors, range(n))))
+    return g
+
+
+# The lines of a text as iterating io.StringIO(text) gives them, each with
+# its "\n", but without the four-byte-per-character copy StringIO makes.
+_LINE = re.compile(r".*\n|.+")
+
+# Matches at the start of the first line of a block that is not `prefix u v`
+# in ASCII digits, spaces and tabs, or at the very end of a block that ends
+# in a newline.  A whole-block fullmatch would say the same, but its
+# backtracking stack grows with the file.
+_BAD_LINE = {
+    prefix: re.compile(rf"^(?![ \t]*{lead}[0-9]+[ \t]+[0-9]+[ \t]*$)", re.M)
+    for prefix, lead in (("", ""), ("e", "e[ \t]+"))
+}
+
+
+def _edge_block(body: str, prefix: str, base: int, n: int, m: int) -> Graph | None:
+    """The graph of `body`, the text after the header, when every line of it
+    is an edge `prefix u v` in ASCII digits that `_edge` would accept and
+    there are m of them; otherwise None."""
+    bad = _BAD_LINE[prefix].search(body)
+    if bad is not None and bad.start() < len(body):
+        return None
+    tokens = body.split()
+    if prefix:
+        del tokens[::3]
+    if len(tokens) != 2 * m:  # two endpoints per line, so a repeated edge counts
+        return None
+    try:
+        ends = list(map(int, tokens))
+    except ValueError:  # more digits than int() converts
+        return None
+    del tokens  # free the strings before the graph is built
+    if base:
+        ends = [x - base for x in ends]
+    us, vs = ends[0::2], ends[1::2]
+    if ends and (min(ends) < 0 or max(ends) >= n) or any(map(operator.eq, us, vs)):
+        return None
+    return _graph(n, zip(us, vs))
+
+
 def read_edge_list(stream: TextIO) -> Graph:
-    n = m = None
+    text = stream.read()
+    n = m = header = None
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(stream, start=1):
-        parts = raw.split()
+    for lineno, line in enumerate(_LINE.finditer(text), start=1):
+        parts = line[0].split()
         if not parts or parts[0].startswith("#"):
             continue
         if n is None:
             if len(parts) != 2:
                 raise GraphFormatError(f"line {lineno}: expected header 'n m'")
             n, m = _header(lineno, parts[0], parts[1])
+            header = lineno
+            g = _edge_block(text[line.end():], "", 0, n, m)
+            if g is not None:
+                return g
             continue
         if len(parts) != 2:
             raise GraphFormatError(f"line {lineno}: expected edge 'u v'")
@@ -65,15 +136,16 @@ def read_edge_list(stream: TextIO) -> Graph:
     if n is None:
         raise GraphFormatError("line 1: missing 'n m' header")
     if len(edges) != m:
-        raise GraphFormatError(f"header announced {m} edges, file has {len(edges)}")
-    return build(n, edges)
+        raise GraphFormatError(f"line {header}: header announced {m} edges, file has {len(edges)}")
+    return _graph(n, edges)
 
 
 def read_dimacs(stream: TextIO) -> Graph:
-    n = m = None
+    text = stream.read()
+    n = m = header = None
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(stream, start=1):
-        parts = raw.split()
+    for lineno, line in enumerate(_LINE.finditer(text), start=1):
+        parts = line[0].split()
         if not parts or parts[0].startswith("c"):
             continue
         if parts[0] == "p":
@@ -82,6 +154,10 @@ def read_dimacs(stream: TextIO) -> Graph:
             if len(parts) < 4 or parts[1] not in ("edge", "col"):
                 raise GraphFormatError(f"line {lineno}: expected 'p edge n m'")
             n, m = _header(lineno, parts[2], parts[3])
+            header = lineno
+            g = _edge_block(text[line.end():], "e", 1, n, m)
+            if g is not None:
+                return g
         elif parts[0] == "e":
             if n is None:
                 raise GraphFormatError(f"line {lineno}: edge before problem line")
@@ -91,10 +167,10 @@ def read_dimacs(stream: TextIO) -> Graph:
         else:
             raise GraphFormatError(f"line {lineno}: unknown record '{parts[0]}'")
     if n is None:
-        raise GraphFormatError("missing 'p edge n m' line")
+        raise GraphFormatError("line 1: missing 'p edge n m' line")
     if len(edges) != m:
-        raise GraphFormatError(f"header announced {m} edges, file has {len(edges)}")
-    return build(n, edges)
+        raise GraphFormatError(f"line {header}: header announced {m} edges, file has {len(edges)}")
+    return _graph(n, edges)
 
 
 def dumps_edge_list(g: Graph) -> str:
@@ -104,14 +180,15 @@ def dumps_edge_list(g: Graph) -> str:
     return "".join(lines)
 
 
+# The first non-blank line, from its first non-whitespace character.
+_FIRST_RECORD = re.compile(r"\s*([^\n]*)")
+
+
 def load_graph(path: str | Path) -> Graph:
     """Read a graph file, sniffing the format from its first record."""
     text = Path(path).read_text()
-    for line in text.splitlines():
-        s = line.strip()
-        if not s:
-            continue
-        if s.startswith(("p ", "c ")) or s in ("p", "c"):
-            return read_dimacs(io.StringIO(text))
-        break
+    first = _FIRST_RECORD.match(text).group(1).splitlines()
+    s = first[0].strip() if first else ""
+    if s.startswith(("p ", "c ")) or s in ("p", "c"):
+        return read_dimacs(io.StringIO(text))
     return read_edge_list(io.StringIO(text))

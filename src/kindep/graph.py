@@ -9,8 +9,10 @@ values; no floats appear anywhere.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class GraphError(ValueError):
@@ -60,6 +62,8 @@ class Graph:
 
     def avg_degree(self) -> Fraction:
         """Average degree 2e/n as an exact rational; undefined for n=0."""
+        from fractions import Fraction  # not at the top: verify and exact make no Fraction
+
         if self.n == 0:
             raise GraphError("average degree is undefined on the empty graph")
         return Fraction(sum(len(s) for s in self._adj), self.n)

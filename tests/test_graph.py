@@ -3,11 +3,13 @@ import math
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kindep import formats
 from kindep.formats import (
     GraphFormatError,
     dumps_edge_list,
@@ -288,8 +290,14 @@ class TestFormats:
         (read_dimacs, "p edge 3 2\ne 1 2\nc c\ne 0 1\n", r"line 4: edge \(0, 1\) out of range 1\.\.3"),
         (read_edge_list, "-1 0\n", "line 1: vertex count must be nonnegative, got -1"),
         (read_dimacs, "c c\np edge -2 0\n", "line 2: vertex count must be nonnegative, got -2"),
+        (read_edge_list, "# c\n3 -1\n", "line 2: edge count must be nonnegative, got -1"),
+        (read_dimacs, "c c\np edge 3 -1\n", "line 2: edge count must be nonnegative, got -1"),
+        (read_edge_list, "# c\n3 5\n0 1\n0 1\n", "line 2: header announced 5 edges, file has 2"),
+        (read_dimacs, "c c\np edge 3 5\ne 1 2\n", "line 2: header announced 5 edges, file has 1"),
+        (read_dimacs, "c no problem line\n", "line 1: missing 'p edge n m' line"),
     ], ids=["edge-loop", "edge-range", "edge-negative", "dimacs-loop", "dimacs-range",
-            "dimacs-zero", "edge-negative-order", "dimacs-negative-order"])
+            "dimacs-zero", "edge-negative-order", "dimacs-negative-order", "edge-negative-size",
+            "dimacs-negative-size", "edge-count", "dimacs-count", "dimacs-missing-header"])
     def test_bad_edge_names_its_line(self, reader, text, message):
         # Endpoints are reported as the file counts them, 0- or 1-based.
         with pytest.raises(GraphFormatError, match=f"^{message}$"):
@@ -302,6 +310,22 @@ class TestFormats:
         d = tmp_path / "g.col"
         d.write_text("c comment\np edge 3 3\ne 1 2\ne 2 3\ne 1 3\n")
         assert load_graph(d) == complete(3)
+
+    def test_load_graph_parses_large_files_as_one_block(self, tmp_path, monkeypatch):
+        # `_edge` is the line loop's per-edge check.  A reader that fell back to
+        # the loop on valid files would stay correct, only slower; this fails it.
+        def line_loop(*args):
+            raise AssertionError("the line loop read an edge of a valid file")
+
+        monkeypatch.setattr(formats, "_edge", line_loop)
+        g = random_gnm(2000, 20000, 1)
+        e = tmp_path / "g.txt"
+        e.write_text(dumps_edge_list(g))
+        d = tmp_path / "g.col"
+        d.write_text(f"c leading comment\np edge {g.n} {g.edge_count()}\n"
+                     + "".join(f"e {u + 1} {v + 1}\n" for u, v in g.edges()))
+        assert load_graph(e) == g
+        assert load_graph(d) == g
 
 
 @settings(max_examples=60, deadline=None)
@@ -317,3 +341,74 @@ def test_gnm_round_trips_through_both_formats(params):
             file = Path(tmp) / name
             file.write_text(text)
             assert load_graph(file) == g
+
+
+_UNICODE_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                              "\u0665\u0666\u0667\u0668\u0669")
+_TOKEN_MUTATIONS = {
+    "zeros": lambda tok: "00" + tok,
+    "plus": lambda tok: "+" + tok,
+    "unicode": lambda tok: tok.translate(_UNICODE_DIGITS),
+    "huge": lambda tok: "1" + "0" * 19,
+    "negative": lambda tok: "-1",
+    "zero": lambda tok: "0",
+    "third": lambda tok: tok + " 7",
+}
+
+
+@st.composite
+def graph_files(draw, mutate: bool):
+    """(reader, file text, graph it holds) for a random edge sequence with
+    repeated edges, spaces and tabs, LF or CRLF line ends and an optional
+    final newline.  With `mutate`, one token, line or the edge count is then
+    changed, and the graph is None."""
+    dimacs = draw(st.booleans())
+    n = draw(st.integers(min_value=2, max_value=12))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
+                          min_size=int(mutate), max_size=20))
+    blank, sep = st.sampled_from(["", " ", "\t", " \t"]), st.sampled_from([" ", "\t", "  "])
+    base, comment = (1, "c") if dimacs else (0, "#")
+    rows = [["e"] * dimacs + [str(u + base), str(v + base)] for u, v in edges]
+    m = len(edges)
+    kinds = [*_TOKEN_MUTATIONS, "loop", "blank", "comment", "count"]
+    kind = draw(st.sampled_from(kinds)) if mutate else None
+    row = draw(st.integers(min_value=0, max_value=m - 1)) if mutate else None
+    if kind == "loop":
+        rows[row][-1] = rows[row][-2]
+    elif kind in _TOKEN_MUTATIONS:
+        col = draw(st.integers(min_value=dimacs, max_value=dimacs + 1))
+        rows[row][col] = _TOKEN_MUTATIONS[kind](rows[row][col])
+    elif kind == "count":
+        m += draw(st.sampled_from([-1, 1]))
+    body = [draw(blank) + draw(sep).join(r) + draw(blank) for r in rows]
+    if kind == "blank":
+        body.insert(row, draw(blank))
+    elif kind == "comment":
+        body.insert(row, f"{comment} among the edges")
+    lines = [f"{comment} a comment"] * draw(st.integers(min_value=0, max_value=2))
+    lines.append(f"p edge {n} {m}" if dimacs else f"{n} {m}")
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines + body) + draw(st.sampled_from([end, ""]))
+    return (read_dimacs if dimacs else read_edge_list), text, None if mutate else build(n, edges)
+
+
+def _outcome(reader, text):
+    try:
+        return reader(io.StringIO(text))
+    except GraphFormatError as exc:
+        return f"GraphFormatError: {exc}"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.booleans().flatmap(graph_files))
+def test_block_path_agrees_with_the_line_loop(case):
+    # With `_edge_block` answering None every file goes through the line loop,
+    # which defines what is valid and every error message.
+    reader, text, graph = case
+    fast = _outcome(reader, text)
+    with mock.patch.object(formats, "_edge_block", return_value=None):
+        slow = _outcome(reader, text)
+    assert fast == slow
+    if graph is not None:
+        assert fast == graph

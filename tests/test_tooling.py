@@ -72,6 +72,17 @@ def test_no_dataclasses_import(path):
     assert lines == [], f"{path.name} imports dataclasses on lines {lines}"
 
 
+def test_formats_checks_each_edge_once():
+    # The readers check every edge themselves, so they build their graphs
+    # without graph.build, which would check each edge again.
+    tree = ast.parse((SRC / "formats.py").read_text(), filename="formats.py")
+    imports = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and any(a.name == "build" for a in node.names)]
+    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None)) == "build"]
+    assert imports == [] and calls == [], f"formats.py uses build on lines {imports + calls}"
+
+
 # The README's module table, bottom layer first: each module imports only
 # modules listed before it.  `kindep/__init__` imports no submodule, and
 # `bounds` may import `oracle` inside a function, the one documented exception.
@@ -116,8 +127,8 @@ _HEAVY = {"kindep.algorithms", "kindep.bounds", "kindep.generators", "kindep.ora
 
 
 @pytest.mark.parametrize("argv,unloaded", [
-    (["verify", "--set", "{set}"], _HEAVY),
-    (["exact"], _HEAVY - {"kindep.oracle"}),
+    (["verify", "--set", "{set}"], _HEAVY | {"fractions"}),
+    (["exact"], _HEAVY - {"kindep.oracle"} | {"fractions"}),
     (["run", "--algo", "alg2"], set()),
     (["bound"], _HEAVY - {"kindep.bounds"}),
 ])
