@@ -52,14 +52,14 @@ class RunTrace:
 
 
 class Partition(NamedTuple):
-    """Disjoint vertex classes covering V(G), each with a degree capacity."""
+    """Disjoint sorted vertex classes covering V(G), each with a degree capacity."""
 
     classes: tuple[tuple[int, ...], ...]
     capacities: tuple[int, ...]
 
     def largest_class(self) -> tuple[int, ...]:
-        best = max(range(len(self.classes)), key=lambda i: (len(self.classes[i]), -i))
-        return self.classes[best]
+        """The lowest-index class among the largest."""
+        return max(self.classes, key=len)
 
 
 def _peel(g: Graph):
@@ -193,7 +193,7 @@ def lovasz_largest_class(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
         return WitnessSet((), k), RunTrace()
     part, trace = lovasz_equal(g, k)
     trace.steps.append(("PARTITION", len(part.classes)))
-    return WitnessSet(tuple(sorted(part.largest_class())), k), trace
+    return WitnessSet(part.largest_class(), k), trace
 
 
 def caro_tuza_greedy(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
@@ -240,8 +240,6 @@ def algorithm1(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
     if k < 0:
         raise GraphError(f"k must be nonnegative, got {k}")
     trace = RunTrace()
-    if g.n == 0:
-        return WitnessSet((), k), trace
     deleted = []
     for v, d, n_alive, sum_deg, _ in _peel(g):
         if d <= -(-sum_deg // n_alive) + k:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -39,13 +40,7 @@ def potential_f(k: int, x: Rat) -> Fraction:
 
 def caro_tuza_sum(g: Graph, k: int) -> Fraction:
     """Degree-sequence lower bound on alpha_k: the sum of f_k over degrees."""
-    total = Fraction(0)
-    counts: dict[int, int] = {}
-    for d in g.degrees():
-        counts[d] = counts.get(d, 0) + 1
-    for d, c in sorted(counts.items()):
-        total += c * potential_f(k, d)
-    return total
+    return sum((c * potential_f(k, d) for d, c in Counter(g.degrees()).items()), Fraction(0))
 
 
 def corollary_avg(g: Graph, k: int) -> Fraction:

@@ -90,17 +90,10 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
     g = _load_source(args)
     report = bounds.bound_report(g, args.k)
-    rows = [
-        [
-            r.name,
-            r.value_str(),
-            math.ceil(r.value) if r.value is not None else "",
-            int(r.applicable),
-            r.note,
-        ]
-        for r in report.rows
-    ]
-    _write(args, report.to_json_dict(), report.to_text() + "\n",
+    doc = report.to_json_dict()
+    rows = [[r["name"], r["value"] or "-", "" if r["ceil"] is None else r["ceil"],
+             int(r["applicable"]), r["note"]] for r in doc["rows"]]
+    _write(args, doc, report.to_text() + "\n",
            ["name", "value", "ceil", "applicable", "note"], rows, out=args.out)
     return EXIT_OK
 

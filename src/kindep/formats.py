@@ -67,10 +67,10 @@ def _graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    g = Graph(n, adj)
+    g = Graph(adj)
     # Each neighbour tuple is sorted, so a repeated edge shows as equal neighbours.
     if any(any(map(operator.eq, s, s[1:])) for s in map(g.neighbors, range(n))):
-        g = Graph(n, map(set, map(g.neighbors, range(n))))
+        g = Graph(map(set, map(g.neighbors, range(n))))
     return g
 
 

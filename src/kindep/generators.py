@@ -191,25 +191,24 @@ def parse_family(text: str) -> FamilySpec:
     names = _FAMILIES[name][0]
     positional: list[int] = []
     keyed: dict[str, int] = {}
-    if rest:
-        for tok in rest.split(","):
-            tok = tok.strip()
-            if not tok:
-                continue
-            if "=" in tok:
-                key, _, val = tok.partition("=")
-                key = key.strip()
-                if key != "seed" and key not in names:
-                    raise GraphError(f"family '{name}' has no parameter '{key}'")
-                try:
-                    keyed[key] = int(val)
-                except ValueError:
-                    raise GraphError(f"non-integer value for '{key}'") from None
-            else:
-                try:
-                    positional.append(int(tok))
-                except ValueError:
-                    raise GraphError(f"non-integer parameter '{tok}'") from None
+    for tok in rest.split(","):
+        tok = tok.strip()
+        if not tok:
+            continue
+        if "=" in tok:
+            key, _, val = tok.partition("=")
+            key = key.strip()
+            if key != "seed" and key not in names:
+                raise GraphError(f"family '{name}' has no parameter '{key}'")
+            try:
+                keyed[key] = int(val)
+            except ValueError:
+                raise GraphError(f"non-integer value for '{key}'") from None
+        else:
+            try:
+                positional.append(int(tok))
+            except ValueError:
+                raise GraphError(f"non-integer parameter '{tok}'") from None
     params: list[int] = []
     for i, pname in enumerate(names):
         if pname in keyed:

@@ -27,17 +27,18 @@ class CertificateError(Exception):
 class Graph:
     """Immutable simple undirected graph.
 
-    Vertices are the integers ``0..n-1``.  Adjacency is stored once, as one
-    sorted tuple of neighbors per vertex, so `neighbors` iterates in
-    increasing index order and tie-breaking in the algorithms built on top
-    is reproducible.  `neighbor_set` builds a fresh frozenset on every call.
+    Vertices are ``0..n-1``, n the adjacency's length.  Adjacency is stored
+    once, as one sorted tuple of neighbors per vertex, so `neighbors`
+    iterates in increasing index order and tie-breaking in the algorithms
+    built on top is reproducible.  `neighbor_set` builds a fresh frozenset
+    on every call.
     """
 
     __slots__ = ("n", "_adj")
 
-    def __init__(self, n: int, adjacency: Iterable[Iterable[int]]):
-        self.n = n
+    def __init__(self, adjacency: Iterable[Iterable[int]]):
         self._adj = tuple(tuple(sorted(s)) for s in adjacency)
+        self.n = len(self._adj)
 
     # -- queries ---------------------------------------------------------
 
@@ -116,7 +117,7 @@ def build(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
         adj[u].add(v)
         adj[v].add(u)
-    return Graph(n, adj)
+    return Graph(adj)
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -131,7 +132,7 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, .
             raise GraphError(f"vertex {v} not in graph of order {g.n}")
     pos = {old: new for new, old in enumerate(kept)}
     adj = [[pos[u] for u in g.neighbors(old) if u in pos] for old in kept]
-    return Graph(len(kept), adj), tuple(kept)
+    return Graph(adj), tuple(kept)
 
 
 def disjoint_union(*graphs: Graph) -> Graph:
@@ -141,7 +142,7 @@ def disjoint_union(*graphs: Graph) -> Graph:
     for g in graphs:
         off = len(adj)
         adj.extend([u + off for u in s] for s in g._adj)
-    return Graph(len(adj), adj)
+    return Graph(adj)
 
 
 def copies(q: int, g: Graph) -> Graph:

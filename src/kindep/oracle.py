@@ -54,7 +54,7 @@ def _components(g: Graph) -> list[list[int]]:
                     seen[w] = True
                     queue.append(w)
                     comp.append(w)
-        comps.append(sorted(comp))
+        comps.append(comp)
     return comps
 
 
@@ -218,9 +218,6 @@ def alpha_k_exact(
     eff_limit = DEFAULT_ALPHA_LIMIT if limit is None else limit
     if g.n > eff_limit:
         raise OracleLimitError(f"order n={g.n} exceeds oracle limit {eff_limit}")
-    if g.n == 0:
-        return 0, WitnessSet((), k)
-
     masks = _adjacency_masks(g)
     chosen: list[int] = []
     for comp in _components(g):

@@ -233,7 +233,9 @@ class TestDeletionGreedy:
         assert trace.to_log() == "DEL 0 deg=5\n"
 
     def test_restriction_to_a_component(self):
-        # The oracle seeds every component from one greedy run on G.
+        # The greedy's set on G, restricted to a component, is its set on that
+        # component alone, so alpha_k_exact's first record on each component
+        # (its first dive is the greedy there) is the greedy's set on G there.
         for n in range(8, 20):
             for c in (1, 2, 3):
                 g = disjoint_union(random_gnm(n, c * n // 2, 50 + n), random_gnm(n, c * n, 90 + n))

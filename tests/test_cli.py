@@ -340,6 +340,17 @@ class TestExitContract:
         assert code == 2 and out == ""
         assert "MemoryError" in err and "--limit" not in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["verify", "--family", "j:4", "--k", "1", "--set", "{set}"],
+         "set file {set} must contain integers"),
+        (["bench", "--family", "j:4", "--k", "1", "--reps", "0"], "reps must be at least 1, got 0"),
+    ], ids=["verify-non-integer-set", "bench-no-reps"])
+    def test_bad_option_value_exits_2(self, capsys, tmp_path, argv, message):
+        set_file = tmp_path / "s.txt"
+        set_file.write_text("0 x\n")
+        code, out, err = run_cli(capsys, *[a.format(set=set_file) for a in argv])
+        assert (code, out, err) == (2, "", f"error: {message.format(set=set_file)}\n")
+
     def test_deep_clique_search_exits_0(self, capsys):
         # Far deeper than the interpreter's recursion limit allows a recursive search.
         code, out, err = run_cli(

@@ -295,9 +295,27 @@ class TestFormats:
         (read_edge_list, "# c\n3 5\n0 1\n0 1\n", "line 2: header announced 5 edges, file has 2"),
         (read_dimacs, "c c\np edge 3 5\ne 1 2\n", "line 2: header announced 5 edges, file has 1"),
         (read_dimacs, "c no problem line\n", "line 1: missing 'p edge n m' line"),
+        (read_dimacs, "p edge 3 0\np edge 3 0\n", "line 2: duplicate problem line"),
+        (read_dimacs, "p edge 3\n", "line 1: expected 'p edge n m'"),
+        (read_dimacs, "p graph 3 1\ne 1 2\n", "line 1: expected 'p edge n m'"),
+        (read_dimacs, "e 1 2\np edge 3 1\n", "line 1: edge before problem line"),
+        (read_edge_list, "", "line 1: missing 'n m' header"),
+        (read_edge_list, "# only\n# comments\n", "line 1: missing 'n m' header"),
+        (read_edge_list, "3 x\n", "line 1: non-integer header"),
+        (read_edge_list, "3 1 2\n0 1\n", "line 1: expected header 'n m'"),
+        (read_edge_list, "3 1\n0 1 2\n", "line 2: expected edge 'u v'"),
+        (read_dimacs, "p edge 3 1\ne 1 2 3\n", "line 2: expected 'e u v'"),
+        (read_dimacs, "p edge 3 1\nx 1 2\n", "line 2: unknown record 'x'"),
+        # More digits than int() converts: the block path gives up, the line loop reports it.
+        (read_edge_list, f"3 1\n{'1' * 5000} 0\n", "line 2: non-integer edge"),
+        (read_dimacs, f"p edge 3 1\ne {'1' * 5000} 1\n", "line 2: non-integer edge"),
     ], ids=["edge-loop", "edge-range", "edge-negative", "dimacs-loop", "dimacs-range",
             "dimacs-zero", "edge-negative-order", "dimacs-negative-order", "edge-negative-size",
-            "dimacs-negative-size", "edge-count", "dimacs-count", "dimacs-missing-header"])
+            "dimacs-negative-size", "edge-count", "dimacs-count", "dimacs-missing-header",
+            "dimacs-duplicate-header", "dimacs-short-header", "dimacs-not-edge",
+            "dimacs-edge-first", "edge-empty", "edge-only-comments", "edge-non-integer-header",
+            "edge-long-header", "edge-long-line", "dimacs-long-line", "dimacs-unknown-record",
+            "edge-huge-endpoint", "dimacs-huge-endpoint"])
     def test_bad_edge_names_its_line(self, reader, text, message):
         # Endpoints are reported as the file counts them, 0- or 1-based.
         with pytest.raises(GraphFormatError, match=f"^{message}$"):
