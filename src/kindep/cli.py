@@ -291,12 +291,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_source(p_exact)
     p_exact.add_argument("--k", type=int, required=True)
     p_exact.add_argument("--limit", type=int, help="oracle vertex cap (default 40)")
-    p_exact.add_argument(
+    # chi_k has no witness set for --out to write.
+    chi_or_out = p_exact.add_mutually_exclusive_group()
+    chi_or_out.add_argument(
         "--chi", action="store_true",
         help="compute the defective chromatic number instead (cap 20)",
     )
     p_exact.add_argument("--format", choices=("text", "json"), default="text")
-    p_exact.add_argument("--out", help="write the witness set to this file")
+    chi_or_out.add_argument("--out", help="write the witness set to this file")
     p_exact.set_defaults(func=_cmd_exact)
 
     p_verify = sub.add_parser("verify", help="check a vertex set for k-independence")

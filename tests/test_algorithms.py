@@ -1,12 +1,16 @@
+import heapq
 import math
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kindep.algorithms import (
     Partition,
     RunTrace,
+    _peel,
     algorithm1,
     algorithm2,
     caro_tuza_greedy,
@@ -15,7 +19,7 @@ from kindep.algorithms import (
     lovasz_partition,
 )
 from kindep.bounds import caro_tuza_sum, main_bound, thm_first_approach_bound
-from kindep.generators import complete, j_graph, random_gnm, star, thm12_2
+from kindep.generators import complete, j_graph, random_gnm, star, thm12_2, thm14_5
 from kindep.graph import (
     GraphError,
     build,
@@ -383,6 +387,78 @@ class TestDeletionOrder:
     def test_prefix_of_reference_on_ties(self, g):
         for k in range(4):
             self.assert_prefixes(g, k)
+
+
+def frozen_heap_peel(g):
+    """`_peel` as it stood before the degree buckets: a lazy heap of
+    (-degree, vertex) entries, re-keyed when a stale one reaches the top."""
+    deg = g.degrees()
+    n_alive, sum_deg = g.n, sum(deg)
+    heap = [(-d, v) for v, d in enumerate(deg)]
+    heapq.heapify(heap)
+    while heap:
+        neg_d, v = heap[0]
+        if deg[v] != -neg_d:
+            heapq.heapreplace(heap, (-deg[v], v))
+            continue
+        heapq.heappop(heap)
+        yield v, deg[v], n_alive, sum_deg, deg
+        n_alive -= 1
+        sum_deg -= 2 * deg[v]
+        deg[v] = -1
+        for u in g.neighbors(v):
+            if deg[u] >= 0:
+                deg[u] -= 1
+
+
+def trajectory(peel, g) -> list[tuple]:
+    """Every state `peel` yields down to the empty graph, live_deg copied."""
+    return [(v, d, n_alive, sum_deg, list(deg)) for v, d, n_alive, sum_deg, deg in peel(g)]
+
+
+def stopping_live_deg(peel, g, k) -> list[int]:
+    """live_deg where the greedy stops, at the first state of degree <= k
+    (the last vertex has degree 0, so only the empty graph has none)."""
+    return next((list(deg) for _, d, _, _, deg in peel(g) if d <= k), [])
+
+
+class TestPeelTrajectory:
+    @staticmethod
+    def assert_same(g):
+        assert trajectory(_peel, g) == trajectory(frozen_heap_peel, g), g
+        for k in range(4):
+            assert stopping_live_deg(_peel, g, k) == stopping_live_deg(frozen_heap_peel, g, k)
+
+    def test_corpus(self, corpus500):
+        for g in corpus500:
+            self.assert_same(g)
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_edgeless(self, n):
+        g = build(n, [])
+        self.assert_same(g)
+        assert [s[:2] for s in trajectory(_peel, g)] == [(v, 0) for v in range(n)]
+
+    @pytest.mark.parametrize(
+        "g",
+        [complete(9), star(12), j_graph(10), copies(4, petersen()), thm14_5(4, 2)],
+        ids=["complete9", "star12", "j10", "4petersen", "thm14_5"],
+    )
+    def test_ties(self, g):
+        self.assert_same(g)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, n * (n - 1) // 2), st.integers(0, 2**16))))
+    def test_random_gnm(self, case):
+        self.assert_same(random_gnm(*case))
+
+    def test_greedy_set_is_live_part_of_stopping_state(self, corpus200):
+        for g in corpus200:
+            for k in range(4):
+                live = stopping_live_deg(frozen_heap_peel, g, k)
+                witness, _ = caro_tuza_greedy(g, k)
+                assert witness.vertices == tuple(v for v, d in enumerate(live) if d >= 0)
 
 
 class TestLovaszLargestClass:

@@ -351,6 +351,16 @@ class TestExitContract:
         code, out, err = run_cli(capsys, *[a.format(set=set_file) for a in argv])
         assert (code, out, err) == (2, "", f"error: {message.format(set=set_file)}\n")
 
+    def test_chi_with_out_exits_2(self, capsys, tmp_path):
+        out_file = tmp_path / "chi.set"
+        with pytest.raises(SystemExit) as exc:
+            main(["exact", "--chi", "--family", "j:6", "--k", "1", "--out", str(out_file)])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "kindep exact: error: argument --out: not allowed with argument --chi")
+        assert not out_file.exists()
+
     def test_deep_clique_search_exits_0(self, capsys):
         # Far deeper than the interpreter's recursion limit allows a recursive search.
         code, out, err = run_cli(

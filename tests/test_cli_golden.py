@@ -4,6 +4,9 @@ Each case runs `kindep.cli.main` in a scratch directory holding a 6-vertex
 edge list and a 5-vertex DIMACS file, then hashes the exit code, stdout and
 every file named by --out/--trace.  The digests were recorded before the
 CLI's renderers were merged into one writer; any byte that moves fails here.
+The gnm runs at n = 4000 and n = 2000 pin the max-degree deletion order and
+its ties at scale; they were recorded with the lazy-heap order that the
+degree buckets replaced.
 """
 
 import hashlib
@@ -18,6 +21,7 @@ SET = "0 3\n"
 
 J6 = "--family j:6"
 GNM = "--family gnm:n=16,m=32 --seed 3"
+BIG = "--family gnm:n=4000,m=12000 --seed 3 --k 1"
 EL = "--file g6.txt"
 DIM = "--file g5.col"
 
@@ -38,6 +42,11 @@ CASES = [
     (f"run {GNM} --k 1 --algo greedy --out run.set --trace run.log", "025f77b03189d318"),
     (f"run {GNM} --k 2 --algo alg2 --format json --out run2.set --trace run2.log", "d41187cd7b7dab82"),
     (f"run {GNM} --k 1 --algo lovasz --format csv --trace run3.log", "afc11440ef0b5d92"),
+    (f"run {BIG} --algo greedy --out big.set --trace big.log", "4e76d9f952b35cbe"),
+    (f"run {BIG} --algo alg1 --out big1.set --trace big1.log", "2eaab2b2df1cee72"),
+    (f"run {BIG} --algo alg2 --out big2.set --trace big2.log", "e9d8ae381f5b7a37"),
+    ("run --family gnm:n=2000,m=20000 --seed 3 --k 2 --algo alg2 --out dense.set "
+     "--trace dense.log", "05ad57fb4aa4c72d"),
     (f"exact {J6} --k 1", "409f9891ad678ea2"),
     (f"exact {EL} --k 1 --format json --out exact.set", "83bb68a6661836d1"),
     (f"exact {DIM} --k 0 --chi", "b9490968067ba44d"),
