@@ -20,7 +20,7 @@ _NAMES = {
     " main_bound potential_f residue_t table_f2 theorem6_check"
     " thm_first_approach_bound witness_ratio",
     "algorithms": "Partition RunTrace algorithm1 algorithm2 caro_tuza_greedy"
-    " lovasz_equal lovasz_largest_class lovasz_partition",
+    " lovasz_largest_class lovasz_partition",
     "oracle": "OracleLimitError alpha_k_bruteforce alpha_k_exact chi_k_exact",
 }
 # exported name -> the module that defines it; a submodule maps to itself.

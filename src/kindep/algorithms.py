@@ -20,7 +20,10 @@ from .graph import (CertificateError, Graph, GraphError, WitnessSet, induced_sub
 class RunTrace:
     """Step log plus exact potential snapshots for one algorithm run.
 
-    A MOVE step stores no potential of its own: MOVE number i (from 0) is
+    DEL steps name vertices of the input graph, MOVE steps vertices of the
+    partitioned graph: in Algorithms 1 and 2 that is the graph left after
+    the deletions, so a MOVE names a survivor by its rank among them.  A
+    MOVE step stores no potential of its own: MOVE number i (from 0) is
     followed by `potential_values[i + 1]`.  That holds for every trace,
     because greedy traces have no MOVEs and Algorithms 1 and 2 take their
     potentials only from the partition, which records its start value and
@@ -143,7 +146,7 @@ def lovasz_partition(
         i = cls[v]
         if deg_in[v][i] <= caps[i]:
             continue
-        j = min(range(t), key=lambda c: (deg_in[v][c] * weight[c], c))
+        j = min(range(t), key=lambda c: deg_in[v][c] * weight[c])
         # Pigeonhole step: a strictly better class always exists.
         if deg_in[v][j] * weight[j] >= deg_in[v][i] * weight[i]:
             raise CertificateError(f"no strictly better class for vertex {v}")
@@ -170,21 +173,10 @@ def lovasz_partition(
     return part, trace
 
 
-def lovasz_equal(g: Graph, k: int) -> tuple[Partition, RunTrace]:
-    """Equal-capacity partition into ceil((max_degree+1)/(k+1)) classes."""
-    if k < 0:
-        raise GraphError(f"k must be nonnegative, got {k}")
-    t = -((g.max_degree() + 1) // -(k + 1))
-    return lovasz_partition(g, [k] * t)
-
-
-def _partition_step(
-    g: Graph, deleted: list[int], k: int, trace: RunTrace
-) -> WitnessSet:
-    """Run `lovasz_largest_class` on the subgraph left after `deleted`,
-    merge its trace, and return the class mapped back to original
-    indices."""
-    gone = set(deleted)
+def _partition_step(g: Graph, k: int, trace: RunTrace) -> WitnessSet:
+    """Merge `lovasz_largest_class` of the graph left after the trace's DEL
+    steps into the trace (MOVEs name survivors by rank); map its class to G."""
+    gone = {step[1] for step in trace.steps if step[0] == "DEL"}
     sub, mapping = induced_subgraph(g, (v for v in range(g.n) if v not in gone))
     largest, sub_trace = lovasz_largest_class(sub, k)
     trace.steps.extend(sub_trace.steps)
@@ -193,14 +185,13 @@ def _partition_step(
 
 
 def lovasz_largest_class(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
-    """Largest class of the equal-capacity partition of G, which holds at
-    least n / ceil((max_degree+1)/(k+1)) vertices.
-    """
+    """Largest class of the partition of G into t = ceil((max_degree+1)/(k+1))
+    classes of capacity k, which holds at least n / t vertices."""
     if k < 0:
         raise GraphError(f"k must be nonnegative, got {k}")
     if g.n == 0:
         return WitnessSet((), k), RunTrace()
-    part, trace = lovasz_equal(g, k)
+    part, trace = lovasz_partition(g, [k] * -((g.max_degree() + 1) // -(k + 1)))
     trace.steps.append(("PARTITION", len(part.classes)))
     return WitnessSet(part.largest_class(), k), trace
 
@@ -249,13 +240,11 @@ def algorithm1(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
     if k < 0:
         raise GraphError(f"k must be nonnegative, got {k}")
     trace = RunTrace()
-    deleted = []
     for v, d, n_alive, sum_deg, _ in _peel(g):
         if d <= -(-sum_deg // n_alive) + k:
             break
         trace.steps.append(("DEL", v, d))
-        deleted.append(v)
-    return _partition_step(g, deleted, k, trace), trace
+    return _partition_step(g, k, trace), trace
 
 
 def algorithm2(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
@@ -293,4 +282,4 @@ def algorithm2(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
             trace.steps.append(("RESTART", d, t, -(-n_alive // (d + 2 * t + 1))))
         if i < best:
             trace.steps.append(("DEL", v, deg))
-    return _partition_step(g, [v for v, *_ in states[:best]], k, trace), trace
+    return _partition_step(g, k, trace), trace

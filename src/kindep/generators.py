@@ -145,7 +145,7 @@ def random_gnm(n: int, m: int, seed: int) -> Graph:
     for j in range(total - m, total):
         t = rng.below(j + 1)
         chosen.add(t if t not in chosen else j)
-    return build(n, [_pair_decode(p) for p in sorted(chosen)])
+    return build(n, [_pair_decode(p) for p in chosen])
 
 
 class FamilySpec(NamedTuple):

@@ -53,13 +53,13 @@ class Graph:
         return len(self._adj[v])
 
     def degrees(self) -> list[int]:
-        return [len(s) for s in self._adj]
+        return list(map(len, self._adj))
 
     def max_degree(self) -> int:
-        return max((len(s) for s in self._adj), default=0)
+        return max(map(len, self._adj), default=0)
 
     def edge_count(self) -> int:
-        return sum(len(s) for s in self._adj) // 2
+        return sum(map(len, self._adj)) // 2
 
     def avg_degree(self) -> Fraction:
         """Average degree 2e/n as an exact rational; undefined for n=0."""
@@ -67,7 +67,7 @@ class Graph:
 
         if self.n == 0:
             raise GraphError("average degree is undefined on the empty graph")
-        return Fraction(sum(len(s) for s in self._adj), self.n)
+        return Fraction(sum(map(len, self._adj)), self.n)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges (u, v) with u < v, in lexicographic order."""

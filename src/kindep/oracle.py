@@ -275,7 +275,7 @@ def chi_k_exact(g: Graph, k: int, limit: int | None = None) -> int:
     if g.n == 0:
         return 0
     cap = -((g.max_degree() + 1) // -(k + 1))
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    order = sorted(range(g.n), key=lambda v: -g.degree(v))
     cls = [-1] * g.n  # class of each placed vertex, -1 if unplaced
     own = [0] * g.n  # neighbors of a placed vertex inside its class
 

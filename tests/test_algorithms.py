@@ -14,7 +14,6 @@ from kindep.algorithms import (
     algorithm1,
     algorithm2,
     caro_tuza_greedy,
-    lovasz_equal,
     lovasz_largest_class,
     lovasz_partition,
 )
@@ -156,30 +155,49 @@ class TestAgainstFrozenPartition:
                 self.assert_same(g, [k] * -((g.max_degree() + 1) // -(k + 1)))
 
 
+def largest_class_and_t(g, k):
+    """`lovasz_largest_class`'s set and the class count t of its PARTITION step."""
+    witness, trace = lovasz_largest_class(g, k)
+    tag, t = trace.steps[-1]
+    assert tag == "PARTITION"
+    return witness, t
+
+
 class TestLovaszEqual:
+    """The equal-capacity partition: t = ceil((max_degree+1)/(k+1)) classes of capacity k."""
+
     def test_k4_two_classes(self):
-        part, _ = lovasz_equal(complete(4), 1)
-        assert len(part.classes) == 2
-        assert len(part.largest_class()) == 2
+        witness, t = largest_class_and_t(complete(4), 1)
+        assert t == 2 and witness.size == 2
+        assert verify_k_independent(complete(4), witness.vertices, 1)
+        part, _ = lovasz_partition(complete(4), [1] * 2)
+        assert len(part.classes) == 2 and covers_vertices(complete(4), part)
 
     def test_cubic_two_classes(self):
         g = petersen()
-        part, _ = lovasz_equal(g, 1)
+        witness, t = largest_class_and_t(g, 1)
+        assert t == 2 and witness.size >= 5
+        assert verify_k_independent(g, witness.vertices, 1)
+        part, _ = lovasz_partition(g, [1] * 2)
         assert len(part.classes) == 2
-        assert len(part.largest_class()) >= 5
-        assert class_degrees_ok(g, part)
+        assert class_degrees_ok(g, part) and covers_vertices(g, part)
 
     def test_edgeless_single_class(self):
-        part, _ = lovasz_equal(build(7, []), 0)
+        witness, t = largest_class_and_t(build(7, []), 0)
+        assert t == 1 and witness.vertices == tuple(range(7))
+        part, _ = lovasz_partition(build(7, []), [0] * 1)
         assert part.classes == (tuple(range(7)),)
 
     def test_class_count_formula(self, corpus200):
         for g in corpus200[:40]:
             for k in (0, 1, 2):
-                part, _ = lovasz_equal(g, k)
                 t = -((g.max_degree() + 1) // -(k + 1))
+                witness, logged_t = largest_class_and_t(g, k)
+                assert logged_t == t
+                assert witness.size >= -(-g.n // t)
+                assert verify_k_independent(g, witness.vertices, k)
+                part, _ = lovasz_partition(g, [k] * t)
                 assert len(part.classes) == t
-                assert len(part.largest_class()) >= -(-g.n // t)
                 assert class_degrees_ok(g, part) and covers_vertices(g, part)
 
 
@@ -331,6 +349,32 @@ class TestAlgorithm2:
             assert pattern.fullmatch(line), line
 
 
+class TestMoveIndexSpace:
+    """In Algorithm 1 and 2 traces, DEL lines name input vertices and MOVE
+    lines name ranks among the vertices left after the deletions."""
+
+    @pytest.mark.parametrize("algo", [algorithm1, algorithm2])
+    def test_tail_is_the_survivors_partition_log(self, corpus200, algo):
+        for g in corpus200:
+            for k in range(3):
+                witness, trace = algo(g, k)
+                lines = trace.to_log().splitlines(keepends=True)
+                deleted = {int(line.split()[1]) for line in lines if line.startswith("DEL ")}
+                assert deleted.isdisjoint(witness.vertices)
+                tail = max((i + 1 for i, line in enumerate(lines)
+                            if line.startswith(("DEL ", "RESTART "))), default=0)
+                sub, _ = induced_subgraph(g, set(range(g.n)) - deleted)
+                _, sub_trace = lovasz_largest_class(sub, k)
+                assert "".join(lines[tail:]) == sub_trace.to_log()
+
+    def test_move_names_a_survivor_rank(self):
+        g = random_gnm(30, 120, 3)
+        _, trace = algorithm1(g, 1)
+        deleted = {step[1] for step in trace.steps if step[0] == "DEL"}
+        survivors = [v for v in range(g.n) if v not in deleted]
+        assert ("MOVE", 3, 0, 1) in trace.steps and survivors[3] == 4
+
+
 class TestDeterminism:
     def test_identical_runs(self, corpus200):
         for g in corpus200[:25]:
@@ -465,10 +509,11 @@ class TestLovaszLargestClass:
     def test_largest_class_of_equal_partition(self):
         g = petersen()
         witness, trace = lovasz_largest_class(g, 1)
-        part, _ = lovasz_equal(g, 1)
-        assert witness.vertices == tuple(sorted(part.largest_class()))
+        part, part_trace = lovasz_partition(g, [1] * 2)
+        assert witness.vertices == part.largest_class()
         assert witness.k == 1 and verify_k_independent(g, witness.vertices, 1)
-        assert trace.steps[-1] == ("PARTITION", len(part.classes))
+        assert trace.steps == part_trace.steps + [("PARTITION", 2)]
+        assert trace.potential_values == part_trace.potential_values
 
     def test_empty_graph(self):
         witness, trace = lovasz_largest_class(build(0, []), 2)

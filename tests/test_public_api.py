@@ -17,7 +17,7 @@ PUBLIC_NAMES = [
     "complete_minus_clique", "complete_minus_cycle", "copies", "corollary_avg",
     "corollary_halfbound", "disjoint_union", "f1_exact", "f_lower", "f_upper_catalog",
     "frac_str", "generators", "girth", "graph", "hopkins_staton", "induced_subgraph", "j_graph",
-    "lovasz_equal", "lovasz_largest_class", "lovasz_partition", "main_bound", "make_graph",
+    "lovasz_largest_class", "lovasz_partition", "main_bound", "make_graph",
     "oracle", "parse_family", "potential_f", "random_gnm", "residue_t",
     "star", "table_f2", "theorem6_check", "thm10_odd", "thm12_2", "thm14_5", "thm14_6",
     "thm_first_approach_bound", "verify_k_independent", "wagner_r8", "witness_ratio",

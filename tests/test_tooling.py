@@ -98,6 +98,20 @@ def test_readme_module_table_follows_the_layers():
     assert table == [m for m in _LAYERS if m not in ("__init__", "cli", "__main__")]
 
 
+def test_readme_module_rows_name_every_export():
+    # Each `kindep.X` row names, in backticks, every name X exports in kindep._NAMES.
+    import kindep
+
+    readme = (SRC.parents[1] / "README.md").read_text()
+    rows = dict(re.findall(r"^\| `kindep\.(\w+)` \|(.*)$", readme, re.M))
+    missing = {}
+    for module, names in kindep._NAMES.items():
+        named = {word for code in re.findall(r"`([^`]*)`", rows[module])
+                 for word in re.findall(r"\w+", code)}
+        missing[module] = sorted(set(names.split()) - named)
+    assert missing == {module: [] for module in kindep._NAMES}
+
+
 def test_imports_follow_the_readme_layering():
     rank = {m: i for i, m in enumerate(_LAYERS)}
     assert {p.stem for p in SRC.glob("*.py")} == set(rank)
