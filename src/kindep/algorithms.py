@@ -12,13 +12,14 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .bounds import frac_str, potential_f, residue_t
-from .graph import (CertificateError, Graph, GraphError, WitnessSet, induced_subgraph,
-                    verify_k_independent)
+from .bounds import potential_f, residue_t
+from .graph import CertificateError, Graph, GraphError, WitnessSet, verify_k_independent
 
 
 class RunTrace:
-    """Step log plus exact potential snapshots for one algorithm run.
+    """Step log plus exact potential snapshots for one algorithm run, kept as
+    integer `numerators` over one `scale`: `potential_values` makes them
+    Fractions only when read.
 
     DEL steps name vertices of the input graph, MOVE steps vertices of the
     partitioned graph: in Algorithms 1 and 2 that is the graph left after
@@ -32,19 +33,24 @@ class RunTrace:
 
     def __init__(self) -> None:
         self.steps: list[tuple] = []
-        self.potential_values: list[Fraction] = []
+        self.scale = 1
+        self.numerators: list[int] = []
+
+    @property
+    def potential_values(self) -> list[Fraction]:
+        return [Fraction(x, self.scale) for x in self.numerators]
 
     def to_log(self) -> str:
         lines = []
-        phis = iter(self.potential_values[1:])
+        phis = iter(self.numerators[1:])
         for step in self.steps:
             tag = step[0]
             if tag == "DEL":
                 lines.append(f"DEL {step[1]} deg={step[2]}")
             elif tag == "MOVE":
-                lines.append(
-                    f"MOVE {step[1]} {step[2]}->{step[3]} phi={frac_str(next(phis))}"
-                )
+                phi = next(phis)
+                r = math.gcd(phi, self.scale)
+                lines.append(f"MOVE {step[1]} {step[2]}->{step[3]} phi={phi // r}/{self.scale // r}")
             elif tag == "RESTART":
                 lines.append(f"RESTART d={step[1]} t={step[2]} q={step[3]}")
             elif tag == "PARTITION":
@@ -106,17 +112,82 @@ def _peel(g: Graph):
                         bucket[deg[u]].append(u)
 
 
+def _partition(adj, caps: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], RunTrace]:
+    """Lovász's local search on the sorted neighbour lists `adj` over ranks
+    0..len(adj)-1, given sum(k_i + 1) > every degree: start from the
+    round-robin assignment by rank; while some vertex exceeds its class
+    capacity, move the smallest such vertex to the class minimizing
+    deg_class(v)/(k_class + 1), the lowest on ties.  The potential sum of
+    e(class)/(k_class+1) drops by at least 1/lcm(k_i+1) per move, so the
+    loop ends.  own[v] counts v's neighbours in its own class; a vertex
+    about to move counts them in every class.
+    """
+    t = len(caps)
+    cls = [v % t for v in range(len(adj))]
+    trace = RunTrace()
+    trace.scale = math.lcm(*(c + 1 for c in caps))
+    weight = [trace.scale // (c + 1) for c in caps]
+    # A heap that may hold stale entries: every violating vertex has one, so
+    # the first popped entry that still violates is the smallest violator.
+    own, heap, phi = [], [], 0
+    for v, nbrs in enumerate(adj):
+        c, x = cls[v], 0
+        for u in nbrs:
+            if cls[u] == c:
+                x += 1
+        own.append(x)
+        phi += x * weight[c]
+        if x > caps[c]:
+            heap.append(v)
+    phi //= 2
+    trace.numerators.append(phi)
+    while heap:
+        v = heapq.heappop(heap)
+        i = cls[v]
+        if own[v] <= caps[i]:
+            continue
+        row = [0] * t
+        for u in adj[v]:
+            row[cls[u]] += 1
+        scaled = [r * w for r, w in zip(row, weight)]
+        j = scaled.index(min(scaled))
+        # Pigeonhole step: a strictly better class always exists.
+        if scaled[j] >= scaled[i]:
+            raise CertificateError(f"no strictly better class for vertex {v}")
+        phi += scaled[j] - scaled[i]
+        cls[v], own[v] = j, row[j]
+        # Only neighbours in classes i and j change count; one in i violates
+        # only if it did before, so it has an entry.  v now meets k_j: as
+        # deg(v) < sum(k_c + 1), some class c has deg_c(v) / (k_c + 1) < 1,
+        # and j minimizes that ratio.
+        for u in adj[v]:
+            c = cls[u]
+            if c == i:
+                own[u] -= 1
+            elif c == j:
+                own[u] += 1
+                if own[u] > caps[j]:
+                    heapq.heappush(heap, u)
+        trace.steps.append(("MOVE", v, i, j))
+        trace.numerators.append(phi)
+
+    classes = [[] for _ in range(t)]
+    for v, c in enumerate(cls):
+        classes[c].append(v)
+    return tuple(map(tuple, classes)), trace
+
+
+def _check_classes(g: Graph, classes, caps) -> None:
+    for c, cap in zip(classes, caps):
+        if not verify_k_independent(g, c, cap):
+            raise CertificateError(f"a partition class exceeds its capacity {cap}")
+
+
 def lovasz_partition(
     g: Graph, capacities: list[int] | tuple[int, ...]
 ) -> tuple[Partition, RunTrace]:
-    """Partition V(G) into classes with induced max degree <= capacity.
-
-    Requires sum(k_i + 1) >= max_degree + 1.  Local search: start from the
-    round-robin assignment by vertex index; while some vertex exceeds its
-    class capacity, move the smallest such vertex to the class minimizing
-    deg_class(v)/(k_class + 1).  The potential sum of e(class)/(k_class+1)
-    drops by at least 1/lcm(k_i+1) per move, so the loop terminates.
-    """
+    """Partition V(G) into classes with induced max degree <= capacity by
+    `_partition`; requires sum(k_i + 1) >= max_degree + 1."""
     caps = tuple(int(c) for c in capacities)
     if any(c < 0 for c in caps) or not caps:
         raise GraphError(f"capacities must be nonnegative and nonempty: {caps}")
@@ -125,63 +196,33 @@ def lovasz_partition(
             f"capacity sum {sum(c + 1 for c in caps)} below max degree + 1 "
             f"= {g.max_degree() + 1}"
         )
-    t = len(caps)
-    cls = [v % t for v in range(g.n)]
-    deg_in = [[0] * t for _ in range(g.n)]
-    for v in range(g.n):
-        row = deg_in[v]
-        for u in g.neighbors(v):
-            row[cls[u]] += 1
-    scale = math.lcm(*(c + 1 for c in caps))
-    weight = [scale // (c + 1) for c in caps]
-    phi = sum(deg_in[v][cls[v]] * weight[cls[v]] for v in range(g.n)) // 2
-
-    trace = RunTrace()
-    trace.potential_values.append(Fraction(phi, scale))
-    # A heap that may hold stale entries: every violating vertex has one, so
-    # the first popped entry that still violates is the smallest violator.
-    heap = [v for v in range(g.n) if deg_in[v][cls[v]] > caps[cls[v]]]
-    while heap:
-        v = heapq.heappop(heap)
-        i = cls[v]
-        if deg_in[v][i] <= caps[i]:
-            continue
-        j = min(range(t), key=lambda c: deg_in[v][c] * weight[c])
-        # Pigeonhole step: a strictly better class always exists.
-        if deg_in[v][j] * weight[j] >= deg_in[v][i] * weight[i]:
-            raise CertificateError(f"no strictly better class for vertex {v}")
-        phi += deg_in[v][j] * weight[j] - deg_in[v][i] * weight[i]
-        cls[v] = j
-        for u in g.neighbors(v):
-            deg_in[u][i] -= 1
-            deg_in[u][j] += 1
-            if deg_in[u][cls[u]] > caps[cls[u]]:
-                heapq.heappush(heap, u)
-        # v itself now meets capacity k_j, so it needs no entry: as
-        # deg(v) < sum(k_c + 1), some class c has deg_c(v) / (k_c + 1) < 1,
-        # and j minimizes that ratio.
-        trace.steps.append(("MOVE", v, i, j))
-        trace.potential_values.append(Fraction(phi, scale))
-
-    classes = [[] for _ in range(t)]
-    for v in range(g.n):
-        classes[cls[v]].append(v)
-    part = Partition(tuple(tuple(c) for c in classes), caps)
-    for c, cap in zip(part.classes, part.capacities):
-        if not verify_k_independent(g, c, cap):
-            raise CertificateError(f"a partition class exceeds its capacity {cap}")
-    return part, trace
+    classes, trace = _partition(g._adj, caps)
+    _check_classes(g, classes, caps)
+    return Partition(classes, caps), trace
 
 
-def _partition_step(g: Graph, k: int, trace: RunTrace) -> WitnessSet:
-    """Merge `lovasz_largest_class` of the graph left after the trace's DEL
-    steps into the trace (MOVEs name survivors by rank); map its class to G."""
-    gone = {step[1] for step in trace.steps if step[0] == "DEL"}
-    sub, mapping = induced_subgraph(g, (v for v in range(g.n) if v not in gone))
-    largest, sub_trace = lovasz_largest_class(sub, k)
-    trace.steps.extend(sub_trace.steps)
-    trace.potential_values.extend(sub_trace.potential_values)
-    return WitnessSet(tuple(mapping[v] for v in largest.vertices), k)
+def _partition_step(g: Graph, k: int, d: int, trace: RunTrace) -> WitnessSet:
+    """Partition the survivors of the trace's DEL steps, of max degree d, by
+    rank into ceil((d+1)/(k+1)) classes of capacity k; log it in the trace,
+    check each class on G and return the largest, in G's vertices."""
+    rank = [0] * g.n
+    for step in trace.steps:
+        if step[0] == "DEL":
+            rank[step[1]] = -1
+    survivors = [v for v, r in enumerate(rank) if r == 0]
+    adj = g._adj
+    if len(survivors) < g.n:
+        for r, v in enumerate(survivors):
+            rank[v] = r
+        adj = [[rank[u] for u in adj[v] if rank[u] >= 0] for v in survivors]
+    caps = (k,) * -((d + 1) // -(k + 1))
+    classes, sub = _partition(adj, caps)
+    classes = [tuple(map(survivors.__getitem__, c)) for c in classes]
+    _check_classes(g, classes, caps)
+    trace.steps += sub.steps
+    trace.steps.append(("PARTITION", len(caps)))
+    trace.scale, trace.numerators = sub.scale, sub.numerators
+    return WitnessSet(max(classes, key=len), k)
 
 
 def lovasz_largest_class(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
@@ -189,11 +230,10 @@ def lovasz_largest_class(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
     classes of capacity k, which holds at least n / t vertices."""
     if k < 0:
         raise GraphError(f"k must be nonnegative, got {k}")
+    trace = RunTrace()
     if g.n == 0:
-        return WitnessSet((), k), RunTrace()
-    part, trace = lovasz_partition(g, [k] * -((g.max_degree() + 1) // -(k + 1)))
-    trace.steps.append(("PARTITION", len(part.classes)))
-    return WitnessSet(part.largest_class(), k), trace
+        return WitnessSet((), k), trace
+    return _partition_step(g, k, g.max_degree(), trace), trace
 
 
 def caro_tuza_greedy(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
@@ -209,25 +249,25 @@ def caro_tuza_greedy(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
     if g.n == 0:
         return WitnessSet((), k), trace
 
-    # Exact potentials over a common denominator: w[d] = f_k(d) * scale.
+    # Exact potentials over a common denominator: w[d] = f_k(d) * scale.  A
+    # live neighbour of degree x adds drop[x] = w[x-1] - w[x] when it loses
+    # a neighbour; drop[-1] = 0, so a deleted one (degree -1) adds nothing.
     values = [potential_f(k, d) for d in range(g.max_degree() + 1)]
-    scale = math.lcm(*(v.denominator for v in values))
-    w = [int(v * scale) for v in values]
-    s = sum(w[d] for d in g.degrees())
-    trace.potential_values.append(Fraction(s, scale))
+    trace.scale = math.lcm(*(v.denominator for v in values))
+    w = [int(v * trace.scale) for v in values]
+    drop = [0] + [a - b for a, b in zip(w, w[1:])] + [0]
+    s = sum(map(w.__getitem__, g.degrees()))
+    trace.numerators.append(s)
 
     for v, d, _, _, deg in _peel(g):
         if d <= k:
             break
-        s_new = s - w[d]
-        for u in g.neighbors(v):
-            if deg[u] >= 0:
-                s_new += w[deg[u] - 1] - w[deg[u]]
+        s_new = s - w[d] + sum(map(drop.__getitem__, map(deg.__getitem__, g.neighbors(v))))
         if s_new < s:
             raise CertificateError("deletion potential decreased")
         s = s_new
         trace.steps.append(("DEL", v, d))
-        trace.potential_values.append(Fraction(s, scale))
+        trace.numerators.append(s)
     return WitnessSet(tuple(u for u, du in enumerate(deg) if du >= 0), k), trace
 
 
@@ -242,22 +282,28 @@ def algorithm1(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
     trace = RunTrace()
     for v, d, n_alive, sum_deg, _ in _peel(g):
         if d <= -(-sum_deg // n_alive) + k:
-            break
+            return _partition_step(g, k, d, trace), trace
         trace.steps.append(("DEL", v, d))
-    return _partition_step(g, k, trace), trace
+    return WitnessSet((), k), trace
 
 
 def algorithm2(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
     """Max-degree deletion trajectory, partitioned at its best state.
 
     One pass over the deletion order (repeatedly removing the max-degree
-    vertex, smallest index on ties) records every intermediate graph and
+    vertex, smallest index on ties) records the intermediate graphs and
     predicts there the class size ceil(n'/t') that the equal-capacity
     partition guarantees, with t' = ceil((max_degree'+1)/(k+1)).  The
     earliest state with the best prediction is partitioned; the deletions
     before it are logged.  Restart records are emitted whenever ceil(avg
     degree) drops below the value frozen at the previous record, so at most
     ceil(d(G))+1 rounds appear in the trace.
+
+    The pass stops at the first state with max_degree' <= k, where the
+    greedy stops too.  There and at every later state max_degree' <= k (it
+    never rises), so t' = 1 and the prediction is n', which falls by one
+    per deletion: no later state predicts as much, and the earliest best
+    state lies at or before the stop.
 
     The output size is at least ceil((k+1) n / (ceil(d(G))+k+1)).  It also
     never falls below the deletion greedy's certificate: the greedy's
@@ -270,7 +316,11 @@ def algorithm2(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
     if g.n == 0:
         return WitnessSet((), k), trace
 
-    states = [(v, d, n_alive, sum_deg) for v, d, n_alive, sum_deg, _ in _peel(g)]
+    states = []
+    for v, d, n_alive, sum_deg, _ in _peel(g):
+        states.append((v, d, n_alive, sum_deg))
+        if d <= k:
+            break
     predicted = [-(-n_alive // -((d + 1) // -(k + 1))) for _, d, n_alive, _ in states]
     best = predicted.index(max(predicted))
     round_d: int | None = None
@@ -282,4 +332,4 @@ def algorithm2(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
             trace.steps.append(("RESTART", d, t, -(-n_alive // (d + 2 * t + 1))))
         if i < best:
             trace.steps.append(("DEL", v, deg))
-    return _partition_step(g, k, trace), trace
+    return _partition_step(g, k, states[best][1], trace), trace

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kindep.algorithms as algorithms_module
 from kindep.algorithms import (
     Partition,
     RunTrace,
@@ -17,10 +18,12 @@ from kindep.algorithms import (
     lovasz_largest_class,
     lovasz_partition,
 )
-from kindep.bounds import caro_tuza_sum, main_bound, thm_first_approach_bound
+from kindep.bounds import (caro_tuza_sum, frac_str, main_bound, potential_f, residue_t,
+                           thm_first_approach_bound)
 from kindep.generators import complete, j_graph, random_gnm, star, thm12_2, thm14_5
 from kindep.graph import (
     GraphError,
+    WitnessSet,
     build,
     copies,
     disjoint_union,
@@ -88,7 +91,7 @@ class TestLovaszPartition:
             assert re.fullmatch(r"MOVE \d+ \d+->\d+ phi=-?\d+/\d+", line)
 
 
-def frozen_lovasz_partition(g, caps):
+def frozen_violator_set_partition(g, caps):
     """The partition loop as it stood before the violator heap: a set of
     violators and a min() over it per move.  Returns the classes, the log
     and the potentials that `lovasz_partition` must reproduce."""
@@ -131,7 +134,7 @@ class TestAgainstFrozenPartition:
     def assert_same(self, g, caps):
         part, trace = lovasz_partition(g, caps)
         assert (part.classes, trace.to_log(), trace.potential_values) == \
-            frozen_lovasz_partition(g, caps), (g, caps)
+            frozen_violator_set_partition(g, caps), (g, caps)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_equal_capacities(self, corpus200, k):
@@ -466,6 +469,11 @@ def stopping_live_deg(peel, g, k) -> list[int]:
     return next((list(deg) for _, d, _, _, deg in peel(g) if d <= k), [])
 
 
+# (n, m, seed) of a random gnm graph with n up to 30.
+gnm_cases = st.integers(1, 30).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, n * (n - 1) // 2), st.integers(0, 2**16)))
+
+
 class TestPeelTrajectory:
     @staticmethod
     def assert_same(g):
@@ -492,8 +500,7 @@ class TestPeelTrajectory:
         self.assert_same(g)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(st.integers(1, 30).flatmap(lambda n: st.tuples(
-        st.just(n), st.integers(0, n * (n - 1) // 2), st.integers(0, 2**16))))
+    @given(gnm_cases)
     def test_random_gnm(self, case):
         self.assert_same(random_gnm(*case))
 
@@ -503,6 +510,214 @@ class TestPeelTrajectory:
                 live = stopping_live_deg(frozen_heap_peel, g, k)
                 witness, _ = caro_tuza_greedy(g, k)
                 assert witness.vertices == tuple(v for v, d in enumerate(live) if d >= 0)
+
+
+def frozen_lovasz_partition(g, caps):
+    """`lovasz_partition` as it stood before the rank-space core: a row of t
+    class counts per vertex, the target class by `min` with a key, and one
+    Fraction per move.  Returns the Partition, the steps and the potentials."""
+    caps = tuple(caps)
+    t = len(caps)
+    cls = [v % t for v in range(g.n)]
+    deg_in = [[0] * t for _ in range(g.n)]
+    for v in range(g.n):
+        row = deg_in[v]
+        for u in g.neighbors(v):
+            row[cls[u]] += 1
+    scale = math.lcm(*(c + 1 for c in caps))
+    weight = [scale // (c + 1) for c in caps]
+    phi = sum(deg_in[v][cls[v]] * weight[cls[v]] for v in range(g.n)) // 2
+    steps, values = [], [Fraction(phi, scale)]
+    heap = [v for v in range(g.n) if deg_in[v][cls[v]] > caps[cls[v]]]
+    while heap:
+        v = heapq.heappop(heap)
+        i = cls[v]
+        if deg_in[v][i] <= caps[i]:
+            continue
+        j = min(range(t), key=lambda c: deg_in[v][c] * weight[c])
+        phi += deg_in[v][j] * weight[j] - deg_in[v][i] * weight[i]
+        cls[v] = j
+        for u in g.neighbors(v):
+            deg_in[u][i] -= 1
+            deg_in[u][j] += 1
+            if deg_in[u][cls[u]] > caps[cls[u]]:
+                heapq.heappush(heap, u)
+        steps.append(("MOVE", v, i, j))
+        values.append(Fraction(phi, scale))
+    classes = [[] for _ in range(t)]
+    for v in range(g.n):
+        classes[cls[v]].append(v)
+    return Partition(tuple(tuple(c) for c in classes), caps), steps, values
+
+
+def frozen_log(steps, values) -> str:
+    """`RunTrace.to_log` as it stood when the trace held Fractions."""
+    lines = []
+    phis = iter(values[1:])
+    for step in steps:
+        tag = step[0]
+        if tag == "DEL":
+            lines.append(f"DEL {step[1]} deg={step[2]}")
+        elif tag == "MOVE":
+            lines.append(f"MOVE {step[1]} {step[2]}->{step[3]} phi={frac_str(next(phis))}")
+        elif tag == "RESTART":
+            lines.append(f"RESTART d={step[1]} t={step[2]} q={step[3]}")
+        else:
+            lines.append(f"PARTITION t={step[1]}")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def frozen_partition_step(g, k, steps):
+    """`_partition_step` as it stood before the rank-space core: the
+    survivors of the DEL steps copied by `induced_subgraph`, then partitioned
+    by `frozen_lovasz_partition`.  With no steps it is `lovasz_largest_class`."""
+    gone = {step[1] for step in steps if step[0] == "DEL"}
+    sub, mapping = induced_subgraph(g, (v for v in range(g.n) if v not in gone))
+    if sub.n == 0:
+        return WitnessSet((), k), list(steps), []
+    part, moves, values = frozen_lovasz_partition(
+        sub, [k] * -((sub.max_degree() + 1) // -(k + 1)))
+    witness = WitnessSet(tuple(mapping[v] for v in part.largest_class()), k)
+    return witness, steps + moves + [("PARTITION", len(part.classes))], values
+
+
+def frozen_caro_tuza_greedy(g, k):
+    """The greedy as it stood before integer potentials: a second walk over
+    the deleted vertex's neighbours, one Fraction per deletion."""
+    if g.n == 0:
+        return WitnessSet((), k), [], []
+    values = [potential_f(k, d) for d in range(g.max_degree() + 1)]
+    scale = math.lcm(*(v.denominator for v in values))
+    w = [int(v * scale) for v in values]
+    s = sum(w[d] for d in g.degrees())
+    steps, potentials = [], [Fraction(s, scale)]
+    for v, d, _, _, deg in frozen_heap_peel(g):
+        if d <= k:
+            break
+        for u in g.neighbors(v):
+            if deg[u] >= 0:
+                s += w[deg[u] - 1] - w[deg[u]]
+        s -= w[d]
+        steps.append(("DEL", v, d))
+        potentials.append(Fraction(s, scale))
+    return WitnessSet(tuple(u for u, du in enumerate(deg) if du >= 0), k), steps, potentials
+
+
+def frozen_algorithm1(g, k):
+    steps = []
+    for v, d, n_alive, sum_deg, _ in frozen_heap_peel(g):
+        if d <= -(-sum_deg // n_alive) + k:
+            break
+        steps.append(("DEL", v, d))
+    return frozen_partition_step(g, k, steps)
+
+
+def frozen_algorithm2(g, k):
+    """`algorithm2` as it stood before its early stop: it records the whole
+    deletion trajectory down to the empty graph."""
+    if g.n == 0:
+        return WitnessSet((), k), [], []
+    states = [(v, d, n_alive, sum_deg) for v, d, n_alive, sum_deg, _ in frozen_heap_peel(g)]
+    predicted = [-(-n_alive // -((d + 1) // -(k + 1))) for _, d, n_alive, _ in states]
+    best = predicted.index(max(predicted))
+    steps, round_d = [], None
+    for i, (v, deg, n_alive, sum_deg) in enumerate(states[: best + 1]):
+        d = -(-sum_deg // n_alive)
+        if round_d is None or d < round_d:
+            round_d = d
+            t = residue_t(k, d)
+            steps.append(("RESTART", d, t, -(-n_alive // (d + 2 * t + 1))))
+        if i < best:
+            steps.append(("DEL", v, deg))
+    return frozen_partition_step(g, k, steps)
+
+
+def states_taken(algo, g, k):
+    """`algo(g, k)` and the number of deletion states it drew from `_peel`."""
+    taken = []
+
+    def counting_peel(graph):
+        for state in _peel(graph):
+            taken.append(state[0])
+            yield state
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algorithms_module, "_peel", counting_peel)
+        result = algo(g, k)
+    return result, len(taken)
+
+
+def assert_same_run(got, want):
+    (out, trace), (want_out, want_steps, want_values) = got, want
+    assert out == want_out
+    assert trace.steps == want_steps
+    assert trace.potential_values == want_values
+    assert trace.to_log() == frozen_log(want_steps, want_values)
+
+
+def assert_algorithm2_same(g, k):
+    got, states = states_taken(algorithm2, g, k)
+    assert_same_run(got, frozen_algorithm2(g, k))
+    assert states <= len(caro_tuza_greedy(g, k)[1].steps) + 1
+
+
+@st.composite
+def gnm_with_caps(draw):
+    """A random gnm graph and capacities whose sum(cap + 1) is max degree + 1
+    plus 0..3."""
+    n = draw(st.integers(1, 30))
+    g = random_gnm(n, draw(st.integers(0, n * (n - 1) // 2)), draw(st.integers(0, 2**16)))
+    target = g.max_degree() + 1 + draw(st.integers(0, 3))
+    caps = []
+    while sum(c + 1 for c in caps) < target:
+        caps.append(min(draw(st.integers(0, 4)), target - sum(c + 1 for c in caps) - 1))
+    return g, caps
+
+
+class TestAgainstFrozenEntryPoints:
+    """Every entry point gives the same witness or partition, steps,
+    potentials and log as the frozen copies above."""
+
+    @staticmethod
+    def assert_same(g, k):
+        caps = [k] * -((g.max_degree() + 1) // -(k + 1))
+        part, trace = lovasz_partition(g, caps)
+        assert_same_run((part, trace), frozen_lovasz_partition(g, caps))
+        assert_same_run(lovasz_largest_class(g, k), frozen_partition_step(g, k, []))
+        assert_same_run(caro_tuza_greedy(g, k), frozen_caro_tuza_greedy(g, k))
+        assert_same_run(algorithm1(g, k), frozen_algorithm1(g, k))
+        assert_algorithm2_same(g, k)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_corpus(self, corpus500, k):
+        for g in corpus500:
+            self.assert_same(g, k)
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_edgeless(self, n):
+        for k in range(4):
+            self.assert_same(build(n, []), k)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(gnm_with_caps())
+    def test_unequal_capacities(self, case):
+        g, caps = case
+        assert_same_run(lovasz_partition(g, caps), frozen_lovasz_partition(g, caps))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(gnm_cases, st.integers(0, 3))
+    def test_algorithm2_early_stop(self, case, k):
+        assert_algorithm2_same(random_gnm(*case), k)
+
+
+class TestRunTrace:
+    def test_potentials_are_reduced_when_read(self):
+        trace = RunTrace()
+        trace.scale, trace.numerators = 6, [12, 3, 0]
+        trace.steps = [("MOVE", 4, 0, 1), ("MOVE", 2, 1, 0)]
+        assert trace.to_log() == "MOVE 4 0->1 phi=1/2\nMOVE 2 1->0 phi=0/1\n"
+        assert trace.potential_values == [2, Fraction(1, 2), 0]
+        assert all(type(x) is Fraction for x in trace.potential_values)
 
 
 class TestLovaszLargestClass:

@@ -84,6 +84,18 @@ def test_formats_checks_each_edge_once():
     assert imports == [] and calls == [], f"formats.py uses build on lines {imports + calls}"
 
 
+def test_algorithms_partition_without_copying():
+    # Algorithms 1 and 2 partition the survivors in rank space, so nothing in
+    # algorithms.py copies a graph with induced_subgraph.
+    tree = ast.parse((SRC / "algorithms.py").read_text(), filename="algorithms.py")
+    imports = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and any(a.name == "induced_subgraph" for a in node.names)]
+    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None)) == "induced_subgraph"]
+    assert imports == [] and calls == [], \
+        f"algorithms.py uses induced_subgraph on lines {imports + calls}"
+
+
 # The README's module table, bottom layer first: each module imports only
 # modules listed before it, inside functions too.  `kindep/__init__` imports
 # no submodule.
