@@ -100,6 +100,8 @@ class _BranchAndBound:
       since they are all neighbors of p.  So |S| <= |P| + (open vertices
       with no neighbor in P) + sum over p of min(|group p|,
       k - deg_P(p)), and the state is pruned when that is below need.
+      It runs before the record test and often spares the degree pass: a
+      feasible C is itself such an S, so its bound is |C| > best.
     * Degree-sum bound on T = P + open, which holds every S above.  With
       d(v) the degree of v inside T, let S in T be k-independent with
       |S| = need and R = T - S.  Each v in S has d(v) <= k + |R|, and
@@ -109,6 +111,12 @@ class _BranchAndBound:
       or the costs of the need smallest degrees sum past sum_T d.  (A
       k-independent set of G is a (k+1)-plex of the complement, so k-plex
       degree bounds apply.)
+
+    First dive.  With no incumbent, every state up to the first record has
+    P empty and need = 0, so no bound prunes: the need-th smallest degree
+    is the largest, at most |C| - 1, and the sum is over no degrees.  So
+    `search` runs them as a peel that lowers only the removed vertex's
+    neighbors' degrees, pushing the same children and popping child 0.
     """
 
     def __init__(self, masks: list[int], k: int):
@@ -123,6 +131,34 @@ class _BranchAndBound:
         masks, k, stack = self.masks, self.k, self.stack
         verts = [v for v in range(root.bit_length()) if root >> v & 1]
         stack.append((root, 0))
+        if self.best_size < 0:
+            # The first dive, a peel: every degree kept, -1 outside C.
+            candidates = stack.pop()[0]
+            self.nodes += 1
+            deg = [-1] * len(masks)
+            for v in verts:
+                deg[v] = (masks[v] & root).bit_count()
+            while (worst_d := max(deg)) > k:
+                worst_v = deg.index(worst_d)
+                nbrs = masks[worst_v] & candidates
+                children = [(candidates & ~(1 << worst_v), 0)]
+                forced = 1 << worst_v
+                for _ in range(k + 1):
+                    bit = nbrs & -nbrs
+                    nbrs ^= bit
+                    children.append((candidates & ~bit, forced))
+                    forced |= bit
+                stack.extend(reversed(children))
+                candidates = stack.pop()[0]
+                self.nodes += 1
+                deg[worst_v] = -1
+                rest = masks[worst_v] & candidates
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    deg[bit.bit_length() - 1] -= 1
+            self.best_size = candidates.bit_count()
+            self.best_mask = candidates
         while stack:
             candidates, forced = stack.pop()
             self.nodes += 1
@@ -130,53 +166,45 @@ class _BranchAndBound:
             if size <= self.best_size:
                 continue
             # room[p]: neighbors p in P may still gain; blocked: the
-            # neighborhoods of the p in P that have none to spare.
+            # neighborhoods of the p in P with none to spare; cover[j]: the
+            # vertices with more than j neighbors in P.
             room = {}
             blocked = 0
+            cover = [0] * (k + 1)
             rest = forced
             while rest:
                 bit = rest & -rest
                 rest ^= bit
                 p = bit.bit_length() - 1
-                room[p] = spare = k - (masks[p] & forced).bit_count()
+                m = masks[p]
+                for j in range(k, 0, -1):
+                    cover[j] |= cover[j - 1] & m
+                cover[0] |= m
+                room[p] = spare = k - (m & forced).bit_count()
                 if spare == 0:
-                    blocked |= masks[p]
-            if room and min(room.values()) < 0:  # P is not k-independent
+                    blocked |= m
+            if forced & cover[k]:  # P is not k-independent
                 continue
-            degrees = []
-            worst_v, worst_d = -1, k
-            shut = 0
-            groups = {}
-            free = 0
-            for v in verts:
-                if candidates >> v & 1:
-                    dv = (masks[v] & candidates).bit_count()
-                    degrees.append(dv)
-                    if dv > worst_d:
-                        worst_v, worst_d = v, dv
-                    if forced >> v & 1:
-                        continue
-                    nbrs = masks[v] & forced
-                    if blocked >> v & 1 or nbrs.bit_count() > k:
-                        shut |= 1 << v
-                    elif nbrs:
-                        p = (nbrs & -nbrs).bit_length() - 1
-                        groups[p] = groups.get(p, 0) + 1
-                    else:
-                        free += 1
-            if worst_v < 0:
+            need = self.best_size + 1
+            rest = candidates & ~forced
+            bound = forced.bit_count() + (rest & ~cover[0]).bit_count()
+            shut = rest & (blocked | cover[k])
+            rest &= cover[0] & ~shut
+            for p, spare in room.items():  # ascending: the lowest p takes w
+                bound += min((masks[p] & rest).bit_count(), spare)
+                rest &= ~masks[p]
+            if bound < need:
+                continue
+            alive = [v for v in verts if candidates >> v & 1]
+            degrees = [(masks[v] & candidates).bit_count() for v in alive]
+            if (worst_d := max(degrees)) <= k:
                 self.best_size = size
                 self.best_mask = candidates
                 continue
-            need = self.best_size + 1
-            bound = forced.bit_count() + free
-            for p, count in groups.items():
-                bound += min(count, room[p])
-            if bound < need:
-                continue
+            worst_v = alive[degrees.index(worst_d)]
             if shut:
                 inside = candidates & ~shut
-                degrees = [(masks[v] & inside).bit_count() for v in verts if inside >> v & 1]
+                degrees = [(masks[v] & inside).bit_count() for v in alive if inside >> v & 1]
             degrees.sort()
             if degrees[need - 1] > k + len(degrees) - need:
                 continue

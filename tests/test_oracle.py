@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kindep import oracle
 from kindep.algorithms import caro_tuza_greedy
@@ -258,10 +260,106 @@ class _FrozenBranchAndBound:
             self.search(candidates & ~bit)
 
 
+class _FrozenForcedSearch:
+    """_BranchAndBound as it was before its first dive ran as a peel and
+    its partition bound before the degree pass, kept as the reference for
+    popped states, node counts and records."""
+
+    def __init__(self, masks, k):
+        self.masks = masks
+        self.k = k
+        self.best_size = -1
+        self.best_mask = 0
+        self.nodes = 0
+        self.stack = []
+
+    def search(self, root):
+        masks, k, stack = self.masks, self.k, self.stack
+        verts = [v for v in range(root.bit_length()) if root >> v & 1]
+        stack.append((root, 0))
+        while stack:
+            candidates, forced = stack.pop()
+            self.nodes += 1
+            size = candidates.bit_count()
+            if size <= self.best_size:
+                continue
+            room = {}
+            blocked = 0
+            rest = forced
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                p = bit.bit_length() - 1
+                room[p] = spare = k - (masks[p] & forced).bit_count()
+                if spare == 0:
+                    blocked |= masks[p]
+            if room and min(room.values()) < 0:
+                continue
+            degrees = []
+            worst_v, worst_d = -1, k
+            shut = 0
+            groups = {}
+            free = 0
+            for v in verts:
+                if candidates >> v & 1:
+                    dv = (masks[v] & candidates).bit_count()
+                    degrees.append(dv)
+                    if dv > worst_d:
+                        worst_v, worst_d = v, dv
+                    if forced >> v & 1:
+                        continue
+                    nbrs = masks[v] & forced
+                    if blocked >> v & 1 or nbrs.bit_count() > k:
+                        shut |= 1 << v
+                    elif nbrs:
+                        p = (nbrs & -nbrs).bit_length() - 1
+                        groups[p] = groups.get(p, 0) + 1
+                    else:
+                        free += 1
+            if worst_v < 0:
+                self.best_size = size
+                self.best_mask = candidates
+                continue
+            need = self.best_size + 1
+            bound = forced.bit_count() + free
+            for p, count in groups.items():
+                bound += min(count, room[p])
+            if bound < need:
+                continue
+            if shut:
+                inside = candidates & ~shut
+                degrees = [(masks[v] & inside).bit_count() for v in verts if inside >> v & 1]
+            degrees.sort()
+            if degrees[need - 1] > k + len(degrees) - need:
+                continue
+            low = degrees[:need]
+            if sum(low) + sum(d - k for d in low if d > k) > sum(degrees):
+                continue
+            nbrs = masks[worst_v] & candidates
+            children = []
+            if not forced >> worst_v & 1:
+                children.append((candidates & ~(1 << worst_v), forced))
+            forced |= 1 << worst_v
+            for _ in range(k + 1):
+                bit = nbrs & -nbrs
+                nbrs ^= bit
+                if not forced & bit:
+                    children.append((candidates & ~bit, forced))
+                forced |= bit
+            stack.extend(reversed(children))
+
+
 def _seed(bb, mask):
     """Start a search with the k-independent set `mask` as its best record."""
     bb.best_size = mask.bit_count()
     bb.best_mask = mask
+
+
+def greedy_mask(g, comp, k):
+    """The greedy's set on the subgraph induced by comp, as a mask of g."""
+    sub, mapping = induced_subgraph(g, comp)
+    seed_set, _ = caro_tuza_greedy(sub, k)
+    return sum(1 << mapping[v] for v in seed_set.vertices)
 
 
 def solve_with(make_search, g, k):
@@ -273,10 +371,8 @@ def solve_with(make_search, g, k):
     masks = oracle._adjacency_masks(g)
     chosen, nodes = [], 0
     for comp in oracle._components(g):
-        sub, mapping = induced_subgraph(g, comp)
-        seed_set, _ = caro_tuza_greedy(sub, k)
         bb = make_search(masks, k)
-        _seed(bb, sum(1 << mapping[v] for v in seed_set.vertices))
+        _seed(bb, greedy_mask(g, comp, k))
         bb.search(sum(1 << v for v in comp))
         nodes += bb.nodes
         chosen += [v for v in comp if bb.best_mask >> v & 1]
@@ -289,7 +385,7 @@ def gnm_cells():
 
 
 class _LoggingStack(list):
-    """A search stack that logs the candidate mask of every state popped."""
+    """A search stack that logs every state popped, (candidates, forced)."""
 
     def __init__(self, popped):
         super().__init__()
@@ -297,14 +393,37 @@ class _LoggingStack(list):
 
     def pop(self):
         state = super().pop()
-        self.popped.append(state[0])
+        self.popped.append(state)
         return state
 
 
-class _LoggedSearch(oracle._BranchAndBound):
-    def __init__(self, masks, k, popped):
-        super().__init__(masks, k)
-        self.stack = _LoggingStack(popped)
+def logged(search_class, popped):
+    """make_search for solve_with: search_class logging its pops to popped."""
+    def make_search(masks, k):
+        bb = search_class(masks, k)
+        bb.stack = _LoggingStack(popped)
+        return bb
+    return make_search
+
+
+def unseeded_runs(search_class, g, k):
+    """Per component of g, as alpha_k_exact searches it with no incumbent:
+    (popped states, nodes, best_size, best_mask)."""
+    masks = oracle._adjacency_masks(g)
+    runs = []
+    for comp in oracle._components(g):
+        popped = []
+        bb = logged(search_class, popped)(masks, k)
+        bb.search(sum(1 << v for v in comp))
+        runs.append((popped, bb.nodes, bb.best_size, bb.best_mask))
+    return runs
+
+
+def multi_component_graphs(corpus100):
+    graphs = [disjoint_union(g, h) for g, h in zip(corpus100[::2], corpus100[1::2])]
+    graphs += [copies(3, random_gnm(n, n, 400 + n)) for n in range(3, 8)]
+    graphs += [disjoint_union(random_gnm(n, 3 * n, n), star(4)) for n in range(8, 16)]
+    return graphs
 
 
 class TestAgainstFrozenSearch:
@@ -322,10 +441,7 @@ class TestAgainstFrozenSearch:
     def test_multi_component_witnesses_identical(self, corpus100):
         # solve_with seeds each component from the greedy on its own
         # induced subgraph; alpha_k_exact searches each one unseeded.
-        graphs = [disjoint_union(g, h) for g, h in zip(corpus100[::2], corpus100[1::2])]
-        graphs += [copies(3, random_gnm(n, n, 400 + n)) for n in range(3, 8)]
-        graphs += [disjoint_union(random_gnm(n, 3 * n, n), star(4)) for n in range(8, 16)]
-        for g in graphs:
+        for g in multi_component_graphs(corpus100):
             for k in range(4):
                 alpha, ws = alpha_k_exact(g, k)
                 assert (alpha, ws.vertices) == solve_with(_FrozenBranchAndBound, g, k)[:2]
@@ -339,13 +455,88 @@ class TestAgainstFrozenSearch:
         assert 100 * new[2] < old[2]
 
 
+small_gnm = st.integers(1, 26).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, n * (n - 1) // 2), st.integers(0, 2**16)))
+
+
+class TestAgainstFrozenForcedSearch:
+    """Unseeded, the search starts with its first dive; seeded, it never
+    dives.  Either way it pops the same states as the frozen one."""
+
+    @staticmethod
+    def assert_same(g, k):
+        assert unseeded_runs(oracle._BranchAndBound, g, k) == \
+            unseeded_runs(_FrozenForcedSearch, g, k)
+
+    def test_corpus(self, corpus100):
+        for g in corpus100:
+            for k in range(4):
+                self.assert_same(g, k)
+
+    def test_gnm_cells(self):
+        for g, k in gnm_cells():
+            self.assert_same(g, k)
+
+    def test_multi_component(self, corpus100):
+        for g in multi_component_graphs(corpus100):
+            for k in range(4):
+                self.assert_same(g, k)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(small_gnm, st.integers(0, 3))
+    def test_random_gnm(self, case, k):
+        self.assert_same(random_gnm(*case), k)
+
+    def test_seeded(self, corpus100):
+        cases = [(g, k) for g in corpus100 for k in range(4)] + gnm_cells()
+        for g, k in cases:
+            now, then = [], []
+            assert solve_with(logged(oracle._BranchAndBound, now), g, k) == \
+                solve_with(logged(_FrozenForcedSearch, then), g, k)
+            assert now == then
+
+
+class _RecordStack(list):
+    """A search stack that notes the search's best mask at the first pop
+    after its first record."""
+
+    def __init__(self, search):
+        super().__init__()
+        self.search = search
+        self.first = None
+
+    def pop(self):
+        if self.first is None and self.search.best_size >= 0:
+            self.first = self.search.best_mask
+        return super().pop()
+
+
 class TestSearchStates:
     def test_no_state_popped_twice(self, corpus100):
         cases = [(g, k) for g in corpus100 for k in range(4)] + gnm_cells()
         for g, k in cases:
             popped = []
-            nodes = solve_with(lambda masks, k: _LoggedSearch(masks, k, popped), g, k)[2]
-            assert len(popped) == len(set(popped)) == nodes
+            nodes = solve_with(logged(oracle._BranchAndBound, popped), g, k)[2]
+            assert len(popped) == len({c for c, _ in popped}) == nodes
+
+    def test_no_state_popped_twice_unseeded(self, corpus100):
+        cases = [(g, k) for g in corpus100 for k in range(4)] + gnm_cells()
+        for g, k in cases:
+            for popped, nodes, _, _ in unseeded_runs(oracle._BranchAndBound, g, k):
+                assert len(popped) == len({c for c, _ in popped}) == nodes
+
+    def test_first_record_is_greedy_set(self, corpus100):
+        # alpha_k_exact's docstring and the README promise this; it also
+        # pins the first dive's tie-break to the greedy's.
+        for g in corpus100:
+            masks = oracle._adjacency_masks(g)
+            for k in range(4):
+                for comp in oracle._components(g):
+                    bb = oracle._BranchAndBound(masks, k)
+                    bb.stack = _RecordStack(bb)
+                    bb.search(sum(1 << v for v in comp))
+                    first = bb.best_mask if bb.stack.first is None else bb.stack.first
+                    assert first == greedy_mask(g, comp, k)
 
     def test_node_counts_do_not_grow(self):
         # Node sums for k = 0..3 when the forced-set bounds were added: a
@@ -357,6 +548,17 @@ class TestSearchStates:
                 for k in range(4):
                     nodes[k] += solve_with(oracle._BranchAndBound, g, k)[2]
         assert all(now <= then for now, then in zip(nodes, [1136, 2792, 2992, 2693])), nodes
+
+    def test_unseeded_node_counts_do_not_grow(self):
+        # The same grid searched as alpha_k_exact does, first dive included:
+        # node sums when the first dive became a peel, which kept them.
+        nodes = [0] * 4
+        for n in (15, 16, 17):
+            for seed in range(20):
+                g = random_gnm(n, 3 * n, seed)
+                for k in range(4):
+                    nodes[k] += sum(run[1] for run in unseeded_runs(oracle._BranchAndBound, g, k))
+        assert all(now <= then for now, then in zip(nodes, [1540, 3128, 3360, 3118])), nodes
 
 
 # alpha_k_exact(random_gnm(n, m, 3), k) for (n, m, k), recorded with the
