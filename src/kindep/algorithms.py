@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .bounds import potential_f, residue_t
-from .graph import CertificateError, Graph, GraphError, WitnessSet, verify_k_independent
+from .graph import CertificateError, Graph, GraphError, WitnessSet, _peel, verify_k_independent
 
 
 class RunTrace:
@@ -69,47 +69,6 @@ class Partition(NamedTuple):
     def largest_class(self) -> tuple[int, ...]:
         """The lowest-index class among the largest."""
         return max(self.classes, key=len)
-
-
-def _peel(g: Graph):
-    """The max-degree deletion order of G, smallest index on ties.
-
-    For the state just before each deletion, yields (v, deg, n_alive,
-    sum_deg, live_deg): the vertex deleted next, its live degree, the live
-    vertex count and degree sum, and the live degree list.  live_deg is
-    updated in place; deleted vertices read -1 in it.
-
-    Bucket d lists the vertices that reached live degree d, each at most
-    once, since degrees only fall.  Levels are scanned from the maximum
-    down, and each level's bucket is dropped once taken.  While level d is
-    scanned, every live degree is at most d: a vertex above d sat in a
-    higher bucket and was deleted or fell below that level while it was
-    scanned.  As degrees only fall, no vertex enters degree d during the
-    scan, so the live degree-d vertices are those of the level's sorted
-    list that still read d, and the next of them in the scan is the live
-    max-degree vertex with the smallest index.  A neighbour whose degree
-    drops to d' joins bucket d'.  The buckets take at most n + m entries
-    in all, so the order costs O(n + m) plus the sort of each level.
-    """
-    deg = g.degrees()
-    n_alive, sum_deg = g.n, sum(deg)
-    bucket = [[] for _ in range(max(deg, default=0) + 1)]
-    for v, d in enumerate(deg):
-        bucket[d].append(v)
-    while bucket:
-        d = len(bucket) - 1
-        for v in sorted([u for u in bucket.pop() if deg[u] == d]):
-            if deg[v] != d:
-                continue
-            yield v, d, n_alive, sum_deg, deg
-            n_alive -= 1
-            sum_deg -= 2 * d
-            deg[v] = -1
-            if d:  # else every neighbour of v is already deleted
-                for u in g.neighbors(v):
-                    if deg[u] >= 0:
-                        deg[u] -= 1
-                        bucket[deg[u]].append(u)
 
 
 def _partition(adj, caps: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], RunTrace]:

@@ -18,7 +18,7 @@ state twice and keeps no memo: its memory is a stack at most n levels deep.
 
 from __future__ import annotations
 
-from .graph import CertificateError, Graph, GraphError, WitnessSet, verify_k_independent
+from .graph import CertificateError, Graph, GraphError, WitnessSet, _peel, verify_k_independent
 
 DEFAULT_ALPHA_LIMIT = 40
 DEFAULT_CHI_LIMIT = 20
@@ -56,6 +56,18 @@ def _components(g: Graph) -> list[list[int]]:
                     comp.append(w)
         comps.append(comp)
     return comps
+
+
+def _dives(g: Graph, k: int) -> list[tuple[list[int], list[int]]]:
+    """Each component's sorted vertex list with its first dive: the
+    deletions of degree > k that `_peel(g)` makes in it, in order."""
+    dives = [(sorted(comp), []) for comp in _components(g)]
+    home = {v: dive for verts, dive in dives for v in verts}
+    for v, d, _, _, _ in _peel(g):
+        if d <= k:
+            break
+        home[v].append(v)
+    return dives
 
 
 class _BranchAndBound:
@@ -113,10 +125,12 @@ class _BranchAndBound:
       degree bounds apply.)
 
     First dive.  With no incumbent, every state up to the first record has
-    P empty and need = 0, so no bound prunes: the need-th smallest degree
-    is the largest, at most |C| - 1, and the sum is over no degrees.  So
-    `search` runs them as a peel that lowers only the removed vertex's
-    neighbors' degrees, pushing the same children and popping child 0.
+    P empty and need = 0, so no bound prunes and every child passes the
+    forced-set tests: the need-th smallest degree is the largest, at most
+    |C| - 1, and the sum is over no degrees.  Each of those states removes
+    the max-degree vertex, so `search` replays `graph._peel`'s order on the
+    component, `deletions`, as v without a degree pass until they run out:
+    its first record is the greedy's set by construction.
     """
 
     def __init__(self, masks: list[int], k: int):
@@ -127,38 +141,12 @@ class _BranchAndBound:
         self.nodes = 0
         self.stack: list[tuple[int, int]] = []
 
-    def search(self, root: int) -> None:
+    def search(self, verts: list[int], deletions: list[int]) -> None:
+        """Search the component on the sorted vertex list `verts`, whose
+        first dive removes `deletions` in order."""
         masks, k, stack = self.masks, self.k, self.stack
-        verts = [v for v in range(root.bit_length()) if root >> v & 1]
-        stack.append((root, 0))
-        if self.best_size < 0:
-            # The first dive, a peel: every degree kept, -1 outside C.
-            candidates = stack.pop()[0]
-            self.nodes += 1
-            deg = [-1] * len(masks)
-            for v in verts:
-                deg[v] = (masks[v] & root).bit_count()
-            while (worst_d := max(deg)) > k:
-                worst_v = deg.index(worst_d)
-                nbrs = masks[worst_v] & candidates
-                children = [(candidates & ~(1 << worst_v), 0)]
-                forced = 1 << worst_v
-                for _ in range(k + 1):
-                    bit = nbrs & -nbrs
-                    nbrs ^= bit
-                    children.append((candidates & ~bit, forced))
-                    forced |= bit
-                stack.extend(reversed(children))
-                candidates = stack.pop()[0]
-                self.nodes += 1
-                deg[worst_v] = -1
-                rest = masks[worst_v] & candidates
-                while rest:
-                    bit = rest & -rest
-                    rest ^= bit
-                    deg[bit.bit_length() - 1] -= 1
-            self.best_size = candidates.bit_count()
-            self.best_mask = candidates
+        dive = deletions[::-1]
+        stack.append((sum(1 << v for v in verts), 0))
         while stack:
             candidates, forced = stack.pop()
             self.nodes += 1
@@ -195,22 +183,25 @@ class _BranchAndBound:
                 rest &= ~masks[p]
             if bound < need:
                 continue
-            alive = [v for v in verts if candidates >> v & 1]
-            degrees = [(masks[v] & candidates).bit_count() for v in alive]
-            if (worst_d := max(degrees)) <= k:
-                self.best_size = size
-                self.best_mask = candidates
-                continue
-            worst_v = alive[degrees.index(worst_d)]
-            if shut:
-                inside = candidates & ~shut
-                degrees = [(masks[v] & inside).bit_count() for v in alive if inside >> v & 1]
-            degrees.sort()
-            if degrees[need - 1] > k + len(degrees) - need:
-                continue
-            low = degrees[:need]
-            if sum(low) + sum(d - k for d in low if d > k) > sum(degrees):
-                continue
+            if dive and self.best_size < 0:
+                worst_v = dive.pop()
+            else:
+                alive = [v for v in verts if candidates >> v & 1]
+                degrees = [(masks[v] & candidates).bit_count() for v in alive]
+                if (worst_d := max(degrees)) <= k:
+                    self.best_size = size
+                    self.best_mask = candidates
+                    continue
+                worst_v = alive[degrees.index(worst_d)]
+                if shut:
+                    inside = candidates & ~shut
+                    degrees = [(masks[v] & inside).bit_count() for v in alive if inside >> v & 1]
+                degrees.sort()
+                if degrees[need - 1] > k + len(degrees) - need:
+                    continue
+                low = degrees[:need]
+                if sum(low) + sum(d - k for d in low if d > k) > sum(degrees):
+                    continue
             nbrs = masks[worst_v] & candidates
             children = []
             if not forced >> worst_v & 1:
@@ -230,12 +221,17 @@ def alpha_k_exact(
 ) -> tuple[int, WitnessSet]:
     """Exact k-independence number with a witness set.
 
-    Branch-and-bound per connected component, started with no incumbent:
-    its first dive removes a max-degree vertex each time, so its first
-    record is the deletion greedy's set on that component.  The witness is
-    the first maximum set of the remove-a-vertex search order in
-    `_BranchAndBound`; its bounds only skip subtrees holding no better set,
-    so they never change the witness.
+    Branch-and-bound per connected component, started with no incumbent.
+    `_peel(g)` runs once, up to its first deletion of degree <= k, and each
+    component's first dive replays the deletions in it, so its first record
+    is the deletion greedy's set there by construction.  Those deletions are
+    the component's own peel: a live degree changes only through deletions
+    in its own component; the vertex the peel deletes is the live
+    max-degree vertex with the smallest index, so also within its
+    component; and the peel stops only once no live degree exceeds k.
+    The witness is the first maximum set of the remove-a-vertex search
+    order in `_BranchAndBound`; its bounds only skip subtrees holding no
+    better set, so they never change the witness.
     Refuses graphs larger than `limit` (default 40) rather than silently
     running for hours.  The search never repeats a state, so it keeps no
     memo and its memory is a stack at most n levels deep however long it
@@ -248,10 +244,10 @@ def alpha_k_exact(
         raise OracleLimitError(f"order n={g.n} exceeds oracle limit {eff_limit}")
     masks = _adjacency_masks(g)
     chosen: list[int] = []
-    for comp in _components(g):
+    for verts, deletions in _dives(g, k):
         bb = _BranchAndBound(masks, k)
-        bb.search(sum(1 << v for v in comp))
-        chosen += [v for v in comp if bb.best_mask >> v & 1]
+        bb.search(verts, deletions)
+        chosen += [v for v in verts if bb.best_mask >> v & 1]
     witness = WitnessSet(tuple(sorted(chosen)), k)
     if not verify_k_independent(g, witness.vertices, k):
         raise CertificateError("oracle witness is not k-independent")

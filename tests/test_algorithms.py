@@ -11,7 +11,6 @@ import kindep.algorithms as algorithms_module
 from kindep.algorithms import (
     Partition,
     RunTrace,
-    _peel,
     algorithm1,
     algorithm2,
     caro_tuza_greedy,
@@ -24,6 +23,7 @@ from kindep.generators import complete, j_graph, random_gnm, star, thm12_2, thm1
 from kindep.graph import (
     GraphError,
     WitnessSet,
+    _peel,
     build,
     copies,
     disjoint_union,
@@ -469,6 +469,16 @@ def stopping_live_deg(peel, g, k) -> list[int]:
     return next((list(deg) for _, d, _, _, deg in peel(g) if d <= k), [])
 
 
+def deletions_above(g, k) -> list[int]:
+    """The vertices `_peel` deletes before its first of degree <= k."""
+    out = []
+    for v, d, _, _, _ in _peel(g):
+        if d <= k:
+            break
+        out.append(v)
+    return out
+
+
 # (n, m, seed) of a random gnm graph with n up to 30.
 gnm_cases = st.integers(1, 30).flatmap(lambda n: st.tuples(
     st.just(n), st.integers(0, n * (n - 1) // 2), st.integers(0, 2**16)))
@@ -503,6 +513,19 @@ class TestPeelTrajectory:
     @given(gnm_cases)
     def test_random_gnm(self, case):
         self.assert_same(random_gnm(*case))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(gnm_cases, min_size=1, max_size=4), st.integers(0, 3))
+    def test_deletions_restrict_to_each_component(self, cases, k):
+        # The whole graph's deletions of degree > k that fall in a component
+        # are the component's own: alpha_k_exact's first dives rely on it.
+        g = disjoint_union(*(random_gnm(*case) for case in cases))
+        whole = deletions_above(g, k)
+        for comp in _components(g):
+            sub, mapping = induced_subgraph(g, comp)
+            inside = set(comp)
+            assert [v for v in whole if v in inside] == \
+                [mapping[v] for v in deletions_above(sub, k)], (cases, k)
 
     def test_greedy_set_is_live_part_of_stopping_state(self, corpus200):
         for g in corpus200:

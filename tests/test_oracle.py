@@ -43,6 +43,17 @@ class TestAlphaExact:
         alpha, ws = alpha_k_exact(build(0, []), 1)
         assert alpha == 0 and ws.vertices == ()
 
+    @pytest.mark.parametrize("edges,expected", [
+        ([], 2000),
+        ([(2 * i, 2 * i + 1) for i in range(1000)], 1000),
+    ], ids=["edgeless", "matching"])
+    def test_many_components(self, edges, expected):
+        # 2000 and 1000 components: each search walks only its own vertices.
+        g = build(2000, edges)
+        alpha, ws = alpha_k_exact(g, 0, limit=2000)
+        assert alpha == ws.size == expected
+        assert verify_k_independent(g, ws.vertices, 0)
+
     def test_monotone_in_k(self, corpus100):
         for g in corpus100[:30]:
             values = [alpha_k_exact(g, k)[0] for k in range(4)]
@@ -362,6 +373,15 @@ def greedy_mask(g, comp, k):
     return sum(1 << mapping[v] for v in seed_set.vertices)
 
 
+def run(bb, verts, deletions):
+    """Search one component as alpha_k_exact does; the frozen searches
+    take its mask and find their first dive themselves."""
+    if isinstance(bb, oracle._BranchAndBound):
+        bb.search(verts, deletions)
+    else:
+        bb.search(sum(1 << v for v in verts))
+
+
 def solve_with(make_search, g, k):
     """alpha_k_exact's driver around a given search, each component seeded
     with the greedy's set on it: (alpha, witness, nodes).  A seed changes no
@@ -370,12 +390,12 @@ def solve_with(make_search, g, k):
     one component."""
     masks = oracle._adjacency_masks(g)
     chosen, nodes = [], 0
-    for comp in oracle._components(g):
+    for verts, deletions in oracle._dives(g, k):
         bb = make_search(masks, k)
-        _seed(bb, greedy_mask(g, comp, k))
-        bb.search(sum(1 << v for v in comp))
+        _seed(bb, greedy_mask(g, verts, k))
+        run(bb, verts, deletions)
         nodes += bb.nodes
-        chosen += [v for v in comp if bb.best_mask >> v & 1]
+        chosen += [v for v in verts if bb.best_mask >> v & 1]
     return len(chosen), tuple(sorted(chosen)), nodes
 
 
@@ -411,10 +431,10 @@ def unseeded_runs(search_class, g, k):
     (popped states, nodes, best_size, best_mask)."""
     masks = oracle._adjacency_masks(g)
     runs = []
-    for comp in oracle._components(g):
+    for verts, deletions in oracle._dives(g, k):
         popped = []
         bb = logged(search_class, popped)(masks, k)
-        bb.search(sum(1 << v for v in comp))
+        run(bb, verts, deletions)
         runs.append((popped, bb.nodes, bb.best_size, bb.best_mask))
     return runs
 
@@ -531,12 +551,12 @@ class TestSearchStates:
         for g in corpus100:
             masks = oracle._adjacency_masks(g)
             for k in range(4):
-                for comp in oracle._components(g):
+                for verts, deletions in oracle._dives(g, k):
                     bb = oracle._BranchAndBound(masks, k)
                     bb.stack = _RecordStack(bb)
-                    bb.search(sum(1 << v for v in comp))
+                    bb.search(verts, deletions)
                     first = bb.best_mask if bb.stack.first is None else bb.stack.first
-                    assert first == greedy_mask(g, comp, k)
+                    assert first == greedy_mask(g, verts, k)
 
     def test_node_counts_do_not_grow(self):
         # Node sums for k = 0..3 when the forced-set bounds were added: a

@@ -96,6 +96,26 @@ def test_algorithms_partition_without_copying():
         f"algorithms.py uses induced_subgraph on lines {imports + calls}"
 
 
+def test_one_max_degree_deletion_order():
+    # The greedy, Algorithms 1 and 2 and the oracle's first dives walk one
+    # deletion order: graph.py defines `_peel`, the other two import it, and
+    # the oracle's search keeps no degree list of its own.
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in SRC.glob("*.py")}
+    defining = sorted(name for name, tree in trees.items() for node in ast.walk(tree)
+                      if isinstance(node, ast.FunctionDef) and node.name == "_peel")
+    importing = sorted(name for name, tree in trees.items() for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom) and node.level == 1
+                       and node.module == "graph" and any(a.name == "_peel" for a in node.names))
+    search = next(fn for cls in ast.walk(trees["oracle.py"])
+                  if isinstance(cls, ast.ClassDef) and cls.name == "_BranchAndBound"
+                  for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "search")
+    deg = [node.lineno for node in ast.walk(search)
+           if isinstance(node, ast.Name) and node.id == "deg" and isinstance(node.ctx, ast.Store)]
+    assert defining == ["graph.py"] and importing == ["algorithms.py", "oracle.py"]
+    assert deg == [], f"_BranchAndBound.search assigns deg on lines {deg}"
+
+
 # The README's module table, bottom layer first: each module imports only
 # modules listed before it, inside functions too.  `kindep/__init__` imports
 # no submodule.
