@@ -9,11 +9,13 @@ enough to audit.
 Both searches walk explicit stacks, so deep searches need no recursion.
 The branch-and-bound carries a forced set along each branch: the vertices
 every set beating the best in that subtree must contain.  It prunes with a
-partition bound over the vertices that can still join the forced set and a
-k-aware degree-sum bound (a k-independent set of G is a (k+1)-plex of the
-complement, so k-plex bounds apply; see `_BranchAndBound`).  The forced
-sets also keep sibling subtrees disjoint, so the search never meets a
-state twice and keeps no memo: its memory is a stack at most n levels deep.
+partition bound over the vertices that can still join the forced set,
+tightened by a packing of disjoint stars K_{1,k+1} among the vertices with
+no forced neighbor, and a k-aware degree-sum bound (a k-independent set of
+G is a (k+1)-plex of the complement, so k-plex bounds apply; see
+`_BranchAndBound`).  The forced sets also keep sibling subtrees disjoint,
+so the search never meets a state twice and keeps no memo: its memory is a
+stack at most n levels deep.
 """
 
 from __future__ import annotations
@@ -114,6 +116,18 @@ class _BranchAndBound:
       k - deg_P(p)), and the state is pruned when that is below need.
       It runs before the record test and often spares the degree pass: a
       feasible C is itself such an S, so its bound is |C| > best.
+    * Star packing (after Moser, Niedermeier & Sorge, DMKD 2012).  Call
+      the open vertices with no neighbor in P free; the partition bound
+      counts each of them.  A k-independent S cannot hold a vertex c
+      together with k+1 of its neighbors, so it misses a vertex of every
+      star of G[free] with k+1 leaves, and vertex-disjoint stars lower the
+      bound by one each.  Pruning takes gap = bound - need + 1 stars of
+      k+2 vertices, so the packing runs only if gap(k+2) <= |free|: below
+      that no packing prunes, so the trigger loses nothing.  It is greedy:
+      centers in index order among the free vertices still unused, each
+      with its k+1 lowest unused free neighbors as leaves, stopping at gap
+      stars.  Like the partition bound it runs before the record test,
+      which it never preempts: a feasible C holds no such star.
     * Degree-sum bound on T = P + open, which holds every S above.  With
       d(v) the degree of v inside T, let S in T be k-independent with
       |S| = need and R = T - S.  Each v in S has d(v) <= k + |R|, and
@@ -127,7 +141,8 @@ class _BranchAndBound:
     First dive.  With no incumbent, every state up to the first record has
     P empty and need = 0, so no bound prunes and every child passes the
     forced-set tests: the need-th smallest degree is the largest, at most
-    |C| - 1, and the sum is over no degrees.  Each of those states removes
+    |C| - 1, and the sum is over no degrees.  No star packing runs either,
+    since gap = bound + 1 exceeds |free|.  Each of those states removes
     the max-degree vertex, so `search` replays `graph._peel`'s order on the
     component, `deletions`, as v without a degree pass until they run out:
     its first record is the greedy's set by construction.
@@ -175,7 +190,8 @@ class _BranchAndBound:
                 continue
             need = self.best_size + 1
             rest = candidates & ~forced
-            bound = forced.bit_count() + (rest & ~cover[0]).bit_count()
+            free = rest & ~cover[0]
+            bound = forced.bit_count() + free.bit_count()
             shut = rest & (blocked | cover[k])
             rest &= cover[0] & ~shut
             for p, spare in room.items():  # ascending: the lowest p takes w
@@ -183,6 +199,22 @@ class _BranchAndBound:
                 rest &= ~masks[p]
             if bound < need:
                 continue
+            gap = bound - need + 1  # disjoint stars in G[free] needed to prune
+            if gap * (k + 2) <= free.bit_count():
+                untried = free
+                while untried and gap:
+                    bit = untried & -untried
+                    untried ^= bit
+                    leaves = masks[bit.bit_length() - 1] & free
+                    if leaves.bit_count() > k:
+                        free ^= bit
+                        for _ in range(k + 1):
+                            free ^= leaves & -leaves
+                            leaves &= leaves - 1
+                        untried &= free
+                        gap -= 1
+                if not gap:
+                    continue
             if dive and self.best_size < 0:
                 worst_v = dive.pop()
             else:

@@ -23,6 +23,23 @@ def gnm_corpus(count: int, max_n: int, seed_base: int) -> list[Graph]:
     return graphs
 
 
+# alpha_k_exact(random_gnm(n, m, 3), k) for (n, m, k), recorded with the
+# search that kept a memo and had no forced-set bounds; (60, 120, 1) with
+# the forced-set search before its star-packing bound.
+LARGE_PINNED = {
+    (40, 80, 1): (24, (1, 2, 6, 7, 10, 11, 13, 16, 18, 19, 20, 21, 22, 23, 27, 28, 30, 31,
+                       33, 35, 36, 37, 38, 39)),
+    (40, 200, 2): (19, (1, 2, 5, 9, 12, 16, 17, 20, 22, 23, 26, 28, 30, 31, 33, 34, 35, 37,
+                        39)),
+    (50, 100, 0): (23, (1, 4, 6, 7, 9, 12, 14, 15, 16, 18, 20, 22, 23, 26, 27, 30, 32, 33,
+                        34, 38, 41, 42, 49)),
+    (50, 100, 1): (29, (0, 1, 2, 4, 6, 7, 8, 9, 11, 12, 13, 14, 15, 16, 17, 18, 21, 23, 27,
+                        30, 31, 37, 40, 41, 42, 44, 46, 47, 48)),
+    (60, 120, 1): (36, (2, 4, 5, 6, 7, 9, 13, 15, 18, 20, 22, 23, 25, 26, 28, 29, 33, 35, 36,
+                        37, 39, 40, 42, 43, 44, 45, 47, 48, 49, 51, 52, 53, 54, 55, 57, 59)),
+}
+
+
 @pytest.fixture(scope="session")
 def corpus500() -> list[Graph]:
     return gnm_corpus(500, 40, 1000)

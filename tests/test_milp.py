@@ -1,0 +1,60 @@
+"""Differential tests of alpha_k against a MILP solved by HiGHS, an exact
+method that shares nothing with the oracle's search.
+
+The model is the k-plex integer program of Balasundaram, Butenko & Hicks
+(Oper. Res. 59(1), 2011) written on the complement: x_v in {0, 1}, and for
+each v of degree d > k, sum over v's neighbours x_u + (d - k) x_v <= d, so
+a kept v keeps at most k neighbours.  The rounded solution is checked with
+`verify_k_independent`, so no float answer is trusted alone.  HiGHS may
+print to stdout, so nothing here reads it.
+
+scipy is a test-only dependency (the `test` extra in pyproject.toml).
+"""
+
+import itertools
+
+import pytest
+
+from kindep.generators import random_gnm
+from kindep.graph import verify_k_independent
+from kindep.oracle import alpha_k_exact
+
+from conftest import LARGE_PINNED
+
+np = pytest.importorskip("numpy")
+optimize = pytest.importorskip("scipy.optimize")
+
+
+def milp_alpha(g, k):
+    """alpha_k(g) by HiGHS, after checking its rounded set."""
+    rows, caps = [], []
+    for v in range(g.n):
+        d = g.degree(v)
+        if d > k:
+            row = np.zeros(g.n)
+            row[list(g.neighbors(v))] = 1
+            row[v] = d - k
+            rows.append(row)
+            caps.append(d)
+    constraints = [optimize.LinearConstraint(np.array(rows), -np.inf, caps)] if rows else []
+    res = optimize.milp(-np.ones(g.n), constraints=constraints, integrality=np.ones(g.n),
+                        bounds=optimize.Bounds(0, 1))
+    assert res.status == 0, res.message
+    chosen = [v for v in range(g.n) if res.x[v] > 0.5]
+    assert verify_k_independent(g, chosen, k)
+    return len(chosen)
+
+
+@pytest.mark.parametrize("n,m,k", sorted(LARGE_PINNED))
+def test_large_pinned(n, m, k):
+    assert milp_alpha(random_gnm(n, m, 3), k) == LARGE_PINNED[n, m, k][0]
+
+
+def test_ensemble_cells():
+    # Graphs of the exact_ensemble shape, m in {2n, 4n, 6n} and k 0..2 at
+    # its smallest and largest n.  A solve takes 20-100 ms on a 2-vCPU
+    # machine, so all 45 cells of the grid would add about 2 s.
+    cells = itertools.product((16, 20), (2, 4, 6), range(3))
+    for i, (n, c, k) in enumerate(cells):
+        g = random_gnm(n, c * n, 9000 + i)
+        assert milp_alpha(g, k) == alpha_k_exact(g, k)[0], (n, c, k)

@@ -15,7 +15,7 @@ from kindep.oracle import (
     chi_k_exact,
 )
 
-from conftest import cycle
+from conftest import LARGE_PINNED, cycle
 
 
 class TestAlphaExact:
@@ -479,41 +479,80 @@ small_gnm = st.integers(1, 26).flatmap(lambda n: st.tuples(
     st.just(n), st.integers(0, n * (n - 1) // 2), st.integers(0, 2**16)))
 
 
+def is_subsequence(short, long):
+    """Whether short is long with some items left out, order kept."""
+    rest = iter(long)
+    return all(item in rest for item in short)
+
+
 class TestAgainstFrozenForcedSearch:
     """Unseeded, the search starts with its first dive; seeded, it never
-    dives.  Either way it pops the same states as the frozen one."""
+    dives.  Either way it ends with the frozen one's best set and pops an
+    in-order subsequence of its states: its bounds prune more states, but
+    only ones holding no set that beats the best."""
 
     @staticmethod
-    def assert_same(g, k):
-        assert unseeded_runs(oracle._BranchAndBound, g, k) == \
-            unseeded_runs(_FrozenForcedSearch, g, k)
+    def assert_prunes_more(g, k):
+        now = unseeded_runs(oracle._BranchAndBound, g, k)
+        then = unseeded_runs(_FrozenForcedSearch, g, k)
+        assert len(now) == len(then)
+        for (popped, nodes, size, mask), (popped0, nodes0, size0, mask0) in zip(now, then):
+            assert (size, mask) == (size0, mask0)
+            assert is_subsequence(popped, popped0)
+            assert nodes <= nodes0
 
     def test_corpus(self, corpus100):
         for g in corpus100:
             for k in range(4):
-                self.assert_same(g, k)
+                self.assert_prunes_more(g, k)
 
     def test_gnm_cells(self):
         for g, k in gnm_cells():
-            self.assert_same(g, k)
+            self.assert_prunes_more(g, k)
 
     def test_multi_component(self, corpus100):
         for g in multi_component_graphs(corpus100):
             for k in range(4):
-                self.assert_same(g, k)
+                self.assert_prunes_more(g, k)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(small_gnm, st.integers(0, 3))
     def test_random_gnm(self, case, k):
-        self.assert_same(random_gnm(*case), k)
+        self.assert_prunes_more(random_gnm(*case), k)
 
     def test_seeded(self, corpus100):
         cases = [(g, k) for g in corpus100 for k in range(4)] + gnm_cells()
         for g, k in cases:
             now, then = [], []
-            assert solve_with(logged(oracle._BranchAndBound, now), g, k) == \
-                solve_with(logged(_FrozenForcedSearch, then), g, k)
-            assert now == then
+            alpha, witness, nodes = solve_with(logged(oracle._BranchAndBound, now), g, k)
+            alpha0, witness0, nodes0 = solve_with(logged(_FrozenForcedSearch, then), g, k)
+            assert (alpha, witness) == (alpha0, witness0)
+            assert is_subsequence(now, then)
+            assert nodes <= nodes0
+
+
+class TestTightIncumbent:
+    def test_search_reaches_alpha(self):
+        # Seeded one below alpha, need is alpha itself: every bound runs at
+        # its tightest and may prune no state holding a maximum set.
+        # Connected graphs, so the one component is the whole graph.
+        for n in range(6, 15):
+            for m in (n, 2 * n, 3 * n):
+                if m > n * (n - 1) // 2:
+                    continue
+                for seed in range(7):
+                    g = random_gnm(n, m, seed)
+                    if len(oracle._components(g)) > 1:
+                        continue
+                    masks = oracle._adjacency_masks(g)
+                    for k in range(3):
+                        alpha = alpha_k_bruteforce(g, k)
+                        bb = oracle._BranchAndBound(masks, k)
+                        bb.best_size = alpha - 1
+                        bb.search(list(range(n)), [])
+                        assert bb.best_size == alpha, (n, m, seed, k)
+                        chosen = [v for v in range(n) if bb.best_mask >> v & 1]
+                        assert verify_k_independent(g, chosen, k)
 
 
 class _RecordStack(list):
@@ -559,43 +598,36 @@ class TestSearchStates:
                     assert first == greedy_mask(g, verts, k)
 
     def test_node_counts_do_not_grow(self):
-        # Node sums for k = 0..3 when the forced-set bounds were added: a
-        # weaker bound keeps every witness but shows up here.
+        # Node sums for k = 0..3 since the star-packing bound (1136, 2792,
+        # 2992, 2693 before it): a weaker bound keeps every witness but
+        # shows up here.
         nodes = [0] * 4
         for n in (15, 16, 17):
             for seed in range(20):
                 g = random_gnm(n, 3 * n, seed)
                 for k in range(4):
                     nodes[k] += solve_with(oracle._BranchAndBound, g, k)[2]
-        assert all(now <= then for now, then in zip(nodes, [1136, 2792, 2992, 2693])), nodes
+        assert all(now <= then for now, then in zip(nodes, [1035, 1861, 2160, 2483])), nodes
 
     def test_unseeded_node_counts_do_not_grow(self):
         # The same grid searched as alpha_k_exact does, first dive included:
-        # node sums when the first dive became a peel, which kept them.
+        # node sums since the star-packing bound (1540, 3128, 3360, 3118
+        # before it).
         nodes = [0] * 4
         for n in (15, 16, 17):
             for seed in range(20):
                 g = random_gnm(n, 3 * n, seed)
                 for k in range(4):
                     nodes[k] += sum(run[1] for run in unseeded_runs(oracle._BranchAndBound, g, k))
-        assert all(now <= then for now, then in zip(nodes, [1540, 3128, 3360, 3118])), nodes
+        assert all(now <= then for now, then in zip(nodes, [1507, 2293, 2592, 2943])), nodes
 
-
-# alpha_k_exact(random_gnm(n, m, 3), k) for (n, m, k), recorded with the
-# search that kept a memo and had no forced-set bounds.
-LARGE_PINNED = {
-    (40, 80, 1): (24, (1, 2, 6, 7, 10, 11, 13, 16, 18, 19, 20, 21, 22, 23, 27, 28, 30, 31,
-                       33, 35, 36, 37, 38, 39)),
-    (40, 200, 2): (19, (1, 2, 5, 9, 12, 16, 17, 20, 22, 23, 26, 28, 30, 31, 33, 34, 35, 37,
-                        39)),
-    (50, 100, 0): (23, (1, 4, 6, 7, 9, 12, 14, 15, 16, 18, 20, 22, 23, 26, 27, 30, 32, 33,
-                        34, 38, 41, 42, 49)),
-    (50, 100, 1): (29, (0, 1, 2, 4, 6, 7, 8, 9, 11, 12, 13, 14, 15, 16, 17, 18, 21, 23, 27,
-                        30, 31, 37, 40, 41, 42, 44, 46, 47, 48)),
-}
+    def test_sparse_instance_node_count(self):
+        # 10,918 nodes before the star-packing bound, 2,634 with it.
+        runs = unseeded_runs(oracle._BranchAndBound, random_gnm(50, 100, 3), 1)
+        assert sum(run[1] for run in runs) <= 4000
 
 
 @pytest.mark.parametrize("n,m,k", sorted(LARGE_PINNED))
 def test_large_instance_witness_pinned(n, m, k):
-    alpha, ws = alpha_k_exact(random_gnm(n, m, 3), k, limit=50)
+    alpha, ws = alpha_k_exact(random_gnm(n, m, 3), k, limit=60)
     assert (alpha, ws.vertices) == LARGE_PINNED[n, m, k]
