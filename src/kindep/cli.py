@@ -290,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exact = sub.add_parser("exact", help="exact alpha_k by branch and bound")
     add_source(p_exact)
     p_exact.add_argument("--k", type=int, required=True)
-    p_exact.add_argument("--limit", type=int, help="oracle vertex cap (default 40)")
+    p_exact.add_argument("--limit", type=int,
+                         help="oracle vertex cap (default 40, or 20 with --chi)")
     # chi_k has no witness set for --out to write.
     chi_or_out = p_exact.add_mutually_exclusive_group()
     chi_or_out.add_argument(

@@ -20,7 +20,7 @@ stack at most n levels deep.
 
 from __future__ import annotations
 
-from .graph import CertificateError, Graph, GraphError, WitnessSet, _peel, verify_k_independent
+from .graph import CertificateError, Graph, GraphError, WitnessSet, verify_k_independent
 
 DEFAULT_ALPHA_LIMIT = 40
 DEFAULT_CHI_LIMIT = 20
@@ -58,18 +58,6 @@ def _components(g: Graph) -> list[list[int]]:
                     comp.append(w)
         comps.append(comp)
     return comps
-
-
-def _dives(g: Graph, k: int) -> list[tuple[list[int], list[int]]]:
-    """Each component's sorted vertex list with its first dive: the
-    deletions of degree > k that `_peel(g)` makes in it, in order."""
-    dives = [(sorted(comp), []) for comp in _components(g)]
-    home = {v: dive for verts, dive in dives for v in verts}
-    for v, d, _, _, _ in _peel(g):
-        if d <= k:
-            break
-        home[v].append(v)
-    return dives
 
 
 class _BranchAndBound:
@@ -138,14 +126,12 @@ class _BranchAndBound:
       k-independent set of G is a (k+1)-plex of the complement, so k-plex
       degree bounds apply.)
 
-    First dive.  With no incumbent, every state up to the first record has
-    P empty and need = 0, so no bound prunes and every child passes the
-    forced-set tests: the need-th smallest degree is the largest, at most
-    |C| - 1, and the sum is over no degrees.  No star packing runs either,
-    since gap = bound + 1 exceeds |free|.  Each of those states removes
-    the max-degree vertex, so `search` replays `graph._peel`'s order on the
-    component, `deletions`, as v without a degree pass until they run out:
-    its first record is the greedy's set by construction.
+    First dive.  Until the first record P is empty and need = 0, so no
+    bound prunes: the partition bound is at least 0, gap = bound + 1
+    exceeds |free|, and `search` skips the degree-sum tests, which could
+    not prune either.  Each of those states removes the max-degree vertex
+    with the smallest index, the vertex `graph._peel` deletes, so the
+    first record is the greedy's set.
     """
 
     def __init__(self, masks: list[int], k: int):
@@ -156,11 +142,9 @@ class _BranchAndBound:
         self.nodes = 0
         self.stack: list[tuple[int, int]] = []
 
-    def search(self, verts: list[int], deletions: list[int]) -> None:
-        """Search the component on the sorted vertex list `verts`, whose
-        first dive removes `deletions` in order."""
+    def search(self, verts: list[int]) -> None:
+        """Search the component on the sorted vertex list `verts`."""
         masks, k, stack = self.masks, self.k, self.stack
-        dive = deletions[::-1]
         stack.append((sum(1 << v for v in verts), 0))
         while stack:
             candidates, forced = stack.pop()
@@ -215,16 +199,14 @@ class _BranchAndBound:
                         gap -= 1
                 if not gap:
                     continue
-            if dive and self.best_size < 0:
-                worst_v = dive.pop()
-            else:
-                alive = [v for v in verts if candidates >> v & 1]
-                degrees = [(masks[v] & candidates).bit_count() for v in alive]
-                if (worst_d := max(degrees)) <= k:
-                    self.best_size = size
-                    self.best_mask = candidates
-                    continue
-                worst_v = alive[degrees.index(worst_d)]
+            alive = [v for v in verts if candidates >> v & 1]
+            degrees = [(masks[v] & candidates).bit_count() for v in alive]
+            if (worst_d := max(degrees)) <= k:
+                self.best_size = size
+                self.best_mask = candidates
+                continue
+            worst_v = alive[degrees.index(worst_d)]
+            if need:  # else degrees[-1] < k + len(degrees) and low is empty
                 if shut:
                     inside = candidates & ~shut
                     degrees = [(masks[v] & inside).bit_count() for v in alive if inside >> v & 1]
@@ -253,14 +235,9 @@ def alpha_k_exact(
 ) -> tuple[int, WitnessSet]:
     """Exact k-independence number with a witness set.
 
-    Branch-and-bound per connected component, started with no incumbent.
-    `_peel(g)` runs once, up to its first deletion of degree <= k, and each
-    component's first dive replays the deletions in it, so its first record
-    is the deletion greedy's set there by construction.  Those deletions are
-    the component's own peel: a live degree changes only through deletions
-    in its own component; the vertex the peel deletes is the live
-    max-degree vertex with the smallest index, so also within its
-    component; and the peel stops only once no live degree exceeds k.
+    Branch-and-bound per connected component with no incumbent, so each
+    first record is the deletion greedy's set on the component, which is
+    the greedy's set on G restricted to it (see `_BranchAndBound`).
     The witness is the first maximum set of the remove-a-vertex search
     order in `_BranchAndBound`; its bounds only skip subtrees holding no
     better set, so they never change the witness.
@@ -276,9 +253,11 @@ def alpha_k_exact(
         raise OracleLimitError(f"order n={g.n} exceeds oracle limit {eff_limit}")
     masks = _adjacency_masks(g)
     chosen: list[int] = []
-    for verts, deletions in _dives(g, k):
-        bb = _BranchAndBound(masks, k)
-        bb.search(verts, deletions)
+    for verts in map(sorted, _components(g)):
+        # A k >= n exceeds every degree, so k = n searches the same states
+        # and keeps the search's per-state lists small however large k is.
+        bb = _BranchAndBound(masks, min(k, g.n))
+        bb.search(verts)
         chosen += [v for v in verts if bb.best_mask >> v & 1]
     witness = WitnessSet(tuple(sorted(chosen)), k)
     if not verify_k_independent(g, witness.vertices, k):

@@ -259,8 +259,8 @@ class TestDeletionGreedy:
 
     def test_restriction_to_a_component(self):
         # The greedy's set on G, restricted to a component, is its set on that
-        # component alone, so alpha_k_exact's first record on each component
-        # (its first dive is the greedy there) is the greedy's set on G there.
+        # component alone, so alpha_k_exact's first record on each component,
+        # the greedy's set on that component, is the greedy's set on G there.
         for n in range(8, 20):
             for c in (1, 2, 3):
                 g = disjoint_union(random_gnm(n, c * n // 2, 50 + n), random_gnm(n, c * n, 90 + n))
@@ -518,7 +518,8 @@ class TestPeelTrajectory:
     @given(st.lists(gnm_cases, min_size=1, max_size=4), st.integers(0, 3))
     def test_deletions_restrict_to_each_component(self, cases, k):
         # The whole graph's deletions of degree > k that fall in a component
-        # are the component's own: alpha_k_exact's first dives rely on it.
+        # are the component's own: alpha_k_exact's promise that its first
+        # record on a component is the greedy's set on G there relies on it.
         g = disjoint_union(*(random_gnm(*case) for case in cases))
         whole = deletions_above(g, k)
         for comp in _components(g):

@@ -172,6 +172,21 @@ class TestExact:
         )
         assert code == 2 and "25" in err
 
+    def test_chi_default_limit(self, capsys):
+        code, _, err = run_cli(capsys, "exact", "--chi", "--family", "complete:25", "--k", "1")
+        assert code == 2 and "limit 20" in err
+        code, out, _ = run_cli(
+            capsys, "exact", "--chi", "--family", "complete:25", "--k", "1", "--limit", "25"
+        )
+        assert code == 0 and out == "13\n"
+
+    def test_huge_k(self, capsys):
+        # Past any index size: the search caps k at n, where nothing changes.
+        code, out, err = run_cli(
+            capsys, "exact", "--family", "complete:3", "--k", "99999999999999999999"
+        )
+        assert (code, out, err) == (0, "3\n", "")
+
 
 class TestVerify:
     def test_false_for_bad_set(self, capsys, tmp_path):
@@ -275,6 +290,14 @@ class TestBench:
             capsys, "bench", "--family", "gnm:n=10,m=5", "--k", "0", "--reps", "2"
         )
         assert code == 2 and "seed" in err
+
+    def test_huge_k(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "bench", "--family", "gnm:n=8,m=12", "--k", str(10**20), "--seed", "2",
+            "--format", "json",
+        )
+        assert code == 0
+        assert [row[9] for row in json.loads(out)["rows"]] == [8]
 
 
 class TestErrors:

@@ -77,6 +77,11 @@ class TestAlphaExact:
         alpha, _ = alpha_k_exact(build(41, []), 0, limit=50)
         assert alpha == 41
 
+    def test_huge_k(self):
+        g = random_gnm(12, 30, 4)
+        alpha, ws = alpha_k_exact(g, 10**20)
+        assert alpha == 12 and ws.vertices == tuple(range(12)) and ws.k == 10**20
+
     def test_negative_k_rejected(self):
         with pytest.raises(GraphError):
             alpha_k_exact(complete(3), -1)
@@ -272,9 +277,9 @@ class _FrozenBranchAndBound:
 
 
 class _FrozenForcedSearch:
-    """_BranchAndBound as it was before its first dive ran as a peel and
-    its partition bound before the degree pass, kept as the reference for
-    popped states, node counts and records."""
+    """_BranchAndBound as it was before the star packing, with its partition
+    bound after the degree pass and its degree-sum tests at every node, kept
+    as the reference for popped states, node counts and records."""
 
     def __init__(self, masks, k):
         self.masks = masks
@@ -373,11 +378,11 @@ def greedy_mask(g, comp, k):
     return sum(1 << mapping[v] for v in seed_set.vertices)
 
 
-def run(bb, verts, deletions):
+def run(bb, verts):
     """Search one component as alpha_k_exact does; the frozen searches
-    take its mask and find their first dive themselves."""
+    take its mask."""
     if isinstance(bb, oracle._BranchAndBound):
-        bb.search(verts, deletions)
+        bb.search(verts)
     else:
         bb.search(sum(1 << v for v in verts))
 
@@ -390,10 +395,10 @@ def solve_with(make_search, g, k):
     one component."""
     masks = oracle._adjacency_masks(g)
     chosen, nodes = [], 0
-    for verts, deletions in oracle._dives(g, k):
+    for verts in map(sorted, oracle._components(g)):
         bb = make_search(masks, k)
         _seed(bb, greedy_mask(g, verts, k))
-        run(bb, verts, deletions)
+        run(bb, verts)
         nodes += bb.nodes
         chosen += [v for v in verts if bb.best_mask >> v & 1]
     return len(chosen), tuple(sorted(chosen)), nodes
@@ -431,10 +436,10 @@ def unseeded_runs(search_class, g, k):
     (popped states, nodes, best_size, best_mask)."""
     masks = oracle._adjacency_masks(g)
     runs = []
-    for verts, deletions in oracle._dives(g, k):
+    for verts in map(sorted, oracle._components(g)):
         popped = []
         bb = logged(search_class, popped)(masks, k)
-        run(bb, verts, deletions)
+        run(bb, verts)
         runs.append((popped, bb.nodes, bb.best_size, bb.best_mask))
     return runs
 
@@ -486,10 +491,10 @@ def is_subsequence(short, long):
 
 
 class TestAgainstFrozenForcedSearch:
-    """Unseeded, the search starts with its first dive; seeded, it never
-    dives.  Either way it ends with the frozen one's best set and pops an
-    in-order subsequence of its states: its bounds prune more states, but
-    only ones holding no set that beats the best."""
+    """Unseeded, the search's first record is the greedy's set; seeded, it
+    starts from that set.  Either way it ends with the frozen one's best
+    set and pops an in-order subsequence of its states: its bounds prune
+    more states, but only ones holding no set that beats the best."""
 
     @staticmethod
     def assert_prunes_more(g, k):
@@ -549,7 +554,7 @@ class TestTightIncumbent:
                         alpha = alpha_k_bruteforce(g, k)
                         bb = oracle._BranchAndBound(masks, k)
                         bb.best_size = alpha - 1
-                        bb.search(list(range(n)), [])
+                        bb.search(list(range(n)))
                         assert bb.best_size == alpha, (n, m, seed, k)
                         chosen = [v for v in range(n) if bb.best_mask >> v & 1]
                         assert verify_k_independent(g, chosen, k)
@@ -586,14 +591,14 @@ class TestSearchStates:
 
     def test_first_record_is_greedy_set(self, corpus100):
         # alpha_k_exact's docstring and the README promise this; it also
-        # pins the first dive's tie-break to the greedy's.
+        # pins the search's branching tie-break to the greedy's.
         for g in corpus100:
             masks = oracle._adjacency_masks(g)
             for k in range(4):
-                for verts, deletions in oracle._dives(g, k):
+                for verts in map(sorted, oracle._components(g)):
                     bb = oracle._BranchAndBound(masks, k)
                     bb.stack = _RecordStack(bb)
-                    bb.search(verts, deletions)
+                    bb.search(verts)
                     first = bb.best_mask if bb.stack.first is None else bb.stack.first
                     assert first == greedy_mask(g, verts, k)
 
@@ -610,7 +615,7 @@ class TestSearchStates:
         assert all(now <= then for now, then in zip(nodes, [1035, 1861, 2160, 2483])), nodes
 
     def test_unseeded_node_counts_do_not_grow(self):
-        # The same grid searched as alpha_k_exact does, first dive included:
+        # The same grid searched as alpha_k_exact does, with no incumbent:
         # node sums since the star-packing bound (1540, 3128, 3360, 3118
         # before it).
         nodes = [0] * 4

@@ -97,9 +97,10 @@ def test_algorithms_partition_without_copying():
 
 
 def test_one_max_degree_deletion_order():
-    # The greedy, Algorithms 1 and 2 and the oracle's first dives walk one
-    # deletion order: graph.py defines `_peel`, the other two import it, and
-    # the oracle's search keeps no degree list of its own.
+    # The greedy and Algorithms 1 and 2 walk one deletion order: graph.py
+    # defines `_peel` and algorithms.py imports it.  The oracle's search
+    # makes the same deletions up to its first record by its own branching
+    # rule, so it neither imports `_peel` nor keeps a degree list like it.
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in SRC.glob("*.py")}
     defining = sorted(name for name, tree in trees.items() for node in ast.walk(tree)
@@ -112,7 +113,7 @@ def test_one_max_degree_deletion_order():
                   for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "search")
     deg = [node.lineno for node in ast.walk(search)
            if isinstance(node, ast.Name) and node.id == "deg" and isinstance(node.ctx, ast.Store)]
-    assert defining == ["graph.py"] and importing == ["algorithms.py", "oracle.py"]
+    assert defining == ["graph.py"] and importing == ["algorithms.py"]
     assert deg == [], f"_BranchAndBound.search assigns deg on lines {deg}"
 
 
