@@ -71,7 +71,7 @@ class Partition(NamedTuple):
         return max(self.classes, key=len)
 
 
-def _partition(adj, caps: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], RunTrace]:
+def _partition(adj, caps: tuple[int, ...], trace: RunTrace) -> tuple[tuple[int, ...], ...]:
     """Lovász's local search on the sorted neighbour lists `adj` over ranks
     0..len(adj)-1, given sum(k_i + 1) > every degree: start from the
     round-robin assignment by rank; while some vertex exceeds its class
@@ -79,11 +79,12 @@ def _partition(adj, caps: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...],
     deg_class(v)/(k_class + 1), the lowest on ties.  The potential sum of
     e(class)/(k_class+1) drops by at least 1/lcm(k_i+1) per move, so the
     loop ends.  own[v] counts v's neighbours in its own class; a vertex
-    about to move counts them in every class.
+    about to move counts them in every class.  `trace` holds no potentials
+    yet: the search sets its scale, then logs the start potential and each
+    MOVE with its own.
     """
     t = len(caps)
     cls = [v % t for v in range(len(adj))]
-    trace = RunTrace()
     trace.scale = math.lcm(*(c + 1 for c in caps))
     weight = [trace.scale // (c + 1) for c in caps]
     # A heap that may hold stale entries: every violating vertex has one, so
@@ -133,7 +134,7 @@ def _partition(adj, caps: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...],
     classes = [[] for _ in range(t)]
     for v, c in enumerate(cls):
         classes[c].append(v)
-    return tuple(map(tuple, classes)), trace
+    return tuple(map(tuple, classes))
 
 
 def _check_classes(g: Graph, classes, caps) -> None:
@@ -155,7 +156,8 @@ def lovasz_partition(
             f"capacity sum {sum(c + 1 for c in caps)} below max degree + 1 "
             f"= {g.max_degree() + 1}"
         )
-    classes, trace = _partition(g._adj, caps)
+    trace = RunTrace()
+    classes = _partition(g._adj, caps, trace)
     _check_classes(g, classes, caps)
     return Partition(classes, caps), trace
 
@@ -175,12 +177,9 @@ def _partition_step(g: Graph, k: int, d: int, trace: RunTrace) -> WitnessSet:
             rank[v] = r
         adj = [[rank[u] for u in adj[v] if rank[u] >= 0] for v in survivors]
     caps = (k,) * -((d + 1) // -(k + 1))
-    classes, sub = _partition(adj, caps)
-    classes = [tuple(map(survivors.__getitem__, c)) for c in classes]
+    classes = [tuple(map(survivors.__getitem__, c)) for c in _partition(adj, caps, trace)]
     _check_classes(g, classes, caps)
-    trace.steps += sub.steps
     trace.steps.append(("PARTITION", len(caps)))
-    trace.scale, trace.numerators = sub.scale, sub.numerators
     return WitnessSet(max(classes, key=len), k)
 
 
@@ -250,13 +249,14 @@ def algorithm2(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
     """Max-degree deletion trajectory, partitioned at its best state.
 
     One pass over the deletion order (repeatedly removing the max-degree
-    vertex, smallest index on ties) records the intermediate graphs and
-    predicts there the class size ceil(n'/t') that the equal-capacity
-    partition guarantees, with t' = ceil((max_degree'+1)/(k+1)).  The
-    earliest state with the best prediction is partitioned; the deletions
-    before it are logged.  Restart records are emitted whenever ceil(avg
-    degree) drops below the value frozen at the previous record, so at most
-    ceil(d(G))+1 rounds appear in the trace.
+    vertex, smallest index on ties) predicts at each state the class size
+    ceil(n'/t') that the equal-capacity partition guarantees, with t' =
+    ceil((max_degree'+1)/(k+1)), and logs the state's RESTART, if any, then
+    its DEL.  A RESTART is logged whenever ceil(avg degree) drops below the
+    previous one's, so at most ceil(d(G))+1 appear.  The earliest state with
+    the best prediction is partitioned, and the log is cut after its
+    RESTART: as each step depends only on the states up to its own, that is
+    the log of a second pass up to the best state, without its DEL.
 
     The pass stops at the first state with max_degree' <= k, where the
     greedy stops too.  There and at every later state max_degree' <= k (it
@@ -275,20 +275,19 @@ def algorithm2(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
     if g.n == 0:
         return WitnessSet((), k), trace
 
-    states = []
-    for v, d, n_alive, sum_deg, _ in _peel(g):
-        states.append((v, d, n_alive, sum_deg))
-        if d <= k:
-            break
-    predicted = [-(-n_alive // -((d + 1) // -(k + 1))) for _, d, n_alive, _ in states]
-    best = predicted.index(max(predicted))
+    best = cut = best_d = 0
     round_d: int | None = None
-    for i, (v, deg, n_alive, sum_deg) in enumerate(states[: best + 1]):
+    for v, deg, n_alive, sum_deg, _ in _peel(g):
         d = -(-sum_deg // n_alive)
         if round_d is None or d < round_d:
             round_d = d
             t = residue_t(k, d)
             trace.steps.append(("RESTART", d, t, -(-n_alive // (d + 2 * t + 1))))
-        if i < best:
-            trace.steps.append(("DEL", v, deg))
-    return _partition_step(g, k, states[best][1], trace), trace
+        predicted = -(-n_alive // -((deg + 1) // -(k + 1)))
+        if predicted > best:
+            best, cut, best_d = predicted, len(trace.steps), deg
+        if deg <= k:
+            break
+        trace.steps.append(("DEL", v, deg))
+    del trace.steps[cut:]
+    return _partition_step(g, k, best_d, trace), trace

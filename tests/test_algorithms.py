@@ -1,4 +1,3 @@
-import heapq
 import math
 import re
 from fractions import Fraction
@@ -93,8 +92,10 @@ class TestLovaszPartition:
 
 def frozen_violator_set_partition(g, caps):
     """The partition loop as it stood before the violator heap: a set of
-    violators and a min() over it per move.  Returns the classes, the log
-    and the potentials that `lovasz_partition` must reproduce."""
+    violators and a min() over it per move, a row of t class counts per
+    vertex and one Fraction per move.  Returns the Partition, the steps and
+    the potentials that `lovasz_partition` must reproduce."""
+    caps = tuple(caps)
     t = len(caps)
     cls = [v % t for v in range(g.n)]
     deg_in = [[0] * t for _ in range(g.n)]
@@ -104,7 +105,7 @@ def frozen_violator_set_partition(g, caps):
     scale = math.lcm(*(c + 1 for c in caps))
     weight = [scale // (c + 1) for c in caps]
     phi = sum(deg_in[v][cls[v]] * weight[cls[v]] for v in range(g.n)) // 2
-    values, log = [Fraction(phi, scale)], ""
+    steps, values = [], [Fraction(phi, scale)]
     violating = {v for v in range(g.n) if deg_in[v][cls[v]] > caps[cls[v]]}
     while violating:
         v = min(violating)
@@ -123,18 +124,40 @@ def frozen_violator_set_partition(g, caps):
             violating.add(v)
         else:
             violating.discard(v)
-        value = Fraction(phi, scale)
-        values.append(value)
-        log += f"MOVE {v} {i}->{j} phi={value.numerator}/{value.denominator}\n"
+        steps.append(("MOVE", v, i, j))
+        values.append(Fraction(phi, scale))
     classes = tuple(tuple(v for v in range(g.n) if cls[v] == c) for c in range(t))
-    return classes, log, values
+    return Partition(classes, caps), steps, values
+
+
+def frozen_log(steps, values) -> str:
+    """`RunTrace.to_log` as it stood when the trace held Fractions."""
+    lines = []
+    phis = iter(values[1:])
+    for step in steps:
+        tag = step[0]
+        if tag == "DEL":
+            lines.append(f"DEL {step[1]} deg={step[2]}")
+        elif tag == "MOVE":
+            lines.append(f"MOVE {step[1]} {step[2]}->{step[3]} phi={frac_str(next(phis))}")
+        elif tag == "RESTART":
+            lines.append(f"RESTART d={step[1]} t={step[2]} q={step[3]}")
+        else:
+            lines.append(f"PARTITION t={step[1]}")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def assert_same_run(got, want):
+    (out, trace), (want_out, want_steps, want_values) = got, want
+    assert out == want_out
+    assert trace.steps == want_steps
+    assert trace.potential_values == want_values
+    assert trace.to_log() == frozen_log(want_steps, want_values)
 
 
 class TestAgainstFrozenPartition:
     def assert_same(self, g, caps):
-        part, trace = lovasz_partition(g, caps)
-        assert (part.classes, trace.to_log(), trace.potential_values) == \
-            frozen_violator_set_partition(g, caps), (g, caps)
+        assert_same_run(lovasz_partition(g, caps), frozen_violator_set_partition(g, caps))
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_equal_capacities(self, corpus200, k):
@@ -397,25 +420,28 @@ class TestDeterminism:
                     assert ws.size <= alpha
 
 
-def naive_deletion_order(g) -> list[tuple[int, int]]:
-    """(vertex, live degree) pairs of the max-degree deletion order, found by
-    rescanning every live vertex at each step, smallest index on ties."""
+def naive_deletion_order(g):
+    """`_peel`'s states (v, deg, n_alive, sum_deg, live_deg), found by
+    rescanning every vertex at each step for the first of largest live
+    degree; live_deg is updated in place and reads -1 at deleted vertices."""
     deg = g.degrees()
-    alive = [True] * g.n
-    order = []
-    for _ in range(g.n):
-        v = max((u for u in range(g.n) if alive[u]), key=lambda u: (deg[u], -u))
-        order.append((v, deg[v]))
-        alive[v] = False
+    n_alive, sum_deg = g.n, sum(deg)
+    while n_alive:
+        d = max(deg)
+        v = deg.index(d)
+        yield v, d, n_alive, sum_deg, deg
+        n_alive -= 1
+        sum_deg -= 2 * d
+        deg[v] = -1
         for u in g.neighbors(v):
-            deg[u] -= 1
-    return order
+            if deg[u] >= 0:
+                deg[u] -= 1
 
 
 class TestDeletionOrder:
     @staticmethod
     def assert_prefixes(g, k):
-        order = naive_deletion_order(g)
+        order = [state[:2] for state in naive_deletion_order(g)]
         for algo in (caro_tuza_greedy, algorithm1, algorithm2):
             _, trace = algo(g, k)
             dels = [(s[1], s[2]) for s in trace.steps if s[0] == "DEL"]
@@ -434,28 +460,6 @@ class TestDeletionOrder:
     def test_prefix_of_reference_on_ties(self, g):
         for k in range(4):
             self.assert_prefixes(g, k)
-
-
-def frozen_heap_peel(g):
-    """`_peel` as it stood before the degree buckets: a lazy heap of
-    (-degree, vertex) entries, re-keyed when a stale one reaches the top."""
-    deg = g.degrees()
-    n_alive, sum_deg = g.n, sum(deg)
-    heap = [(-d, v) for v, d in enumerate(deg)]
-    heapq.heapify(heap)
-    while heap:
-        neg_d, v = heap[0]
-        if deg[v] != -neg_d:
-            heapq.heapreplace(heap, (-deg[v], v))
-            continue
-        heapq.heappop(heap)
-        yield v, deg[v], n_alive, sum_deg, deg
-        n_alive -= 1
-        sum_deg -= 2 * deg[v]
-        deg[v] = -1
-        for u in g.neighbors(v):
-            if deg[u] >= 0:
-                deg[u] -= 1
 
 
 def trajectory(peel, g) -> list[tuple]:
@@ -487,9 +491,9 @@ gnm_cases = st.integers(1, 30).flatmap(lambda n: st.tuples(
 class TestPeelTrajectory:
     @staticmethod
     def assert_same(g):
-        assert trajectory(_peel, g) == trajectory(frozen_heap_peel, g), g
+        assert trajectory(_peel, g) == trajectory(naive_deletion_order, g), g
         for k in range(4):
-            assert stopping_live_deg(_peel, g, k) == stopping_live_deg(frozen_heap_peel, g, k)
+            assert stopping_live_deg(_peel, g, k) == stopping_live_deg(naive_deletion_order, g, k)
 
     def test_corpus(self, corpus500):
         for g in corpus500:
@@ -531,75 +535,20 @@ class TestPeelTrajectory:
     def test_greedy_set_is_live_part_of_stopping_state(self, corpus200):
         for g in corpus200:
             for k in range(4):
-                live = stopping_live_deg(frozen_heap_peel, g, k)
+                live = stopping_live_deg(naive_deletion_order, g, k)
                 witness, _ = caro_tuza_greedy(g, k)
                 assert witness.vertices == tuple(v for v, d in enumerate(live) if d >= 0)
-
-
-def frozen_lovasz_partition(g, caps):
-    """`lovasz_partition` as it stood before the rank-space core: a row of t
-    class counts per vertex, the target class by `min` with a key, and one
-    Fraction per move.  Returns the Partition, the steps and the potentials."""
-    caps = tuple(caps)
-    t = len(caps)
-    cls = [v % t for v in range(g.n)]
-    deg_in = [[0] * t for _ in range(g.n)]
-    for v in range(g.n):
-        row = deg_in[v]
-        for u in g.neighbors(v):
-            row[cls[u]] += 1
-    scale = math.lcm(*(c + 1 for c in caps))
-    weight = [scale // (c + 1) for c in caps]
-    phi = sum(deg_in[v][cls[v]] * weight[cls[v]] for v in range(g.n)) // 2
-    steps, values = [], [Fraction(phi, scale)]
-    heap = [v for v in range(g.n) if deg_in[v][cls[v]] > caps[cls[v]]]
-    while heap:
-        v = heapq.heappop(heap)
-        i = cls[v]
-        if deg_in[v][i] <= caps[i]:
-            continue
-        j = min(range(t), key=lambda c: deg_in[v][c] * weight[c])
-        phi += deg_in[v][j] * weight[j] - deg_in[v][i] * weight[i]
-        cls[v] = j
-        for u in g.neighbors(v):
-            deg_in[u][i] -= 1
-            deg_in[u][j] += 1
-            if deg_in[u][cls[u]] > caps[cls[u]]:
-                heapq.heappush(heap, u)
-        steps.append(("MOVE", v, i, j))
-        values.append(Fraction(phi, scale))
-    classes = [[] for _ in range(t)]
-    for v in range(g.n):
-        classes[cls[v]].append(v)
-    return Partition(tuple(tuple(c) for c in classes), caps), steps, values
-
-
-def frozen_log(steps, values) -> str:
-    """`RunTrace.to_log` as it stood when the trace held Fractions."""
-    lines = []
-    phis = iter(values[1:])
-    for step in steps:
-        tag = step[0]
-        if tag == "DEL":
-            lines.append(f"DEL {step[1]} deg={step[2]}")
-        elif tag == "MOVE":
-            lines.append(f"MOVE {step[1]} {step[2]}->{step[3]} phi={frac_str(next(phis))}")
-        elif tag == "RESTART":
-            lines.append(f"RESTART d={step[1]} t={step[2]} q={step[3]}")
-        else:
-            lines.append(f"PARTITION t={step[1]}")
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def frozen_partition_step(g, k, steps):
     """`_partition_step` as it stood before the rank-space core: the
     survivors of the DEL steps copied by `induced_subgraph`, then partitioned
-    by `frozen_lovasz_partition`.  With no steps it is `lovasz_largest_class`."""
+    by `frozen_violator_set_partition`.  With no steps it is `lovasz_largest_class`."""
     gone = {step[1] for step in steps if step[0] == "DEL"}
     sub, mapping = induced_subgraph(g, (v for v in range(g.n) if v not in gone))
     if sub.n == 0:
         return WitnessSet((), k), list(steps), []
-    part, moves, values = frozen_lovasz_partition(
+    part, moves, values = frozen_violator_set_partition(
         sub, [k] * -((sub.max_degree() + 1) // -(k + 1)))
     witness = WitnessSet(tuple(mapping[v] for v in part.largest_class()), k)
     return witness, steps + moves + [("PARTITION", len(part.classes))], values
@@ -615,7 +564,7 @@ def frozen_caro_tuza_greedy(g, k):
     w = [int(v * scale) for v in values]
     s = sum(w[d] for d in g.degrees())
     steps, potentials = [], [Fraction(s, scale)]
-    for v, d, _, _, deg in frozen_heap_peel(g):
+    for v, d, _, _, deg in naive_deletion_order(g):
         if d <= k:
             break
         for u in g.neighbors(v):
@@ -629,7 +578,7 @@ def frozen_caro_tuza_greedy(g, k):
 
 def frozen_algorithm1(g, k):
     steps = []
-    for v, d, n_alive, sum_deg, _ in frozen_heap_peel(g):
+    for v, d, n_alive, sum_deg, _ in naive_deletion_order(g):
         if d <= -(-sum_deg // n_alive) + k:
             break
         steps.append(("DEL", v, d))
@@ -637,11 +586,12 @@ def frozen_algorithm1(g, k):
 
 
 def frozen_algorithm2(g, k):
-    """`algorithm2` as it stood before its early stop: it records the whole
-    deletion trajectory down to the empty graph."""
+    """`algorithm2` as it stood before its early stop and its one pass: it
+    records the whole deletion trajectory down to the empty graph, then logs
+    the states up to the best one in a second pass."""
     if g.n == 0:
         return WitnessSet((), k), [], []
-    states = [(v, d, n_alive, sum_deg) for v, d, n_alive, sum_deg, _ in frozen_heap_peel(g)]
+    states = [(v, d, n_alive, sum_deg) for v, d, n_alive, sum_deg, _ in naive_deletion_order(g)]
     predicted = [-(-n_alive // -((d + 1) // -(k + 1))) for _, d, n_alive, _ in states]
     best = predicted.index(max(predicted))
     steps, round_d = [], None
@@ -671,14 +621,6 @@ def states_taken(algo, g, k):
     return result, len(taken)
 
 
-def assert_same_run(got, want):
-    (out, trace), (want_out, want_steps, want_values) = got, want
-    assert out == want_out
-    assert trace.steps == want_steps
-    assert trace.potential_values == want_values
-    assert trace.to_log() == frozen_log(want_steps, want_values)
-
-
 def assert_algorithm2_same(g, k):
     got, states = states_taken(algorithm2, g, k)
     assert_same_run(got, frozen_algorithm2(g, k))
@@ -705,8 +647,7 @@ class TestAgainstFrozenEntryPoints:
     @staticmethod
     def assert_same(g, k):
         caps = [k] * -((g.max_degree() + 1) // -(k + 1))
-        part, trace = lovasz_partition(g, caps)
-        assert_same_run((part, trace), frozen_lovasz_partition(g, caps))
+        assert_same_run(lovasz_partition(g, caps), frozen_violator_set_partition(g, caps))
         assert_same_run(lovasz_largest_class(g, k), frozen_partition_step(g, k, []))
         assert_same_run(caro_tuza_greedy(g, k), frozen_caro_tuza_greedy(g, k))
         assert_same_run(algorithm1(g, k), frozen_algorithm1(g, k))
@@ -726,7 +667,7 @@ class TestAgainstFrozenEntryPoints:
     @given(gnm_with_caps())
     def test_unequal_capacities(self, case):
         g, caps = case
-        assert_same_run(lovasz_partition(g, caps), frozen_lovasz_partition(g, caps))
+        assert_same_run(lovasz_partition(g, caps), frozen_violator_set_partition(g, caps))
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(gnm_cases, st.integers(0, 3))

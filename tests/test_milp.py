@@ -15,7 +15,8 @@ import itertools
 
 import pytest
 
-from kindep.generators import random_gnm
+from kindep.bounds import table_f2
+from kindep.generators import make_graph, parse_family, random_gnm
 from kindep.graph import verify_k_independent
 from kindep.oracle import alpha_k_exact
 
@@ -58,3 +59,11 @@ def test_ensemble_cells():
     for i, (n, c, k) in enumerate(cells):
         g = random_gnm(n, c * n, 9000 + i)
         assert milp_alpha(g, k) == alpha_k_exact(g, k)[0], (n, c, k)
+
+
+def test_table_f2_witnesses():
+    # Each row's witness, rebuilt from its spec string, has row.n vertices
+    # and alpha_2 = row.alpha by HiGHS: 11 graphs with n <= 23.
+    for row in table_f2():
+        g = make_graph(parse_family(row.witness))
+        assert (g.n, milp_alpha(g, 2)) == (row.n, row.alpha), row.witness

@@ -117,6 +117,28 @@ def test_one_max_degree_deletion_order():
     assert deg == [], f"_BranchAndBound.search assigns deg on lines {deg}"
 
 
+def test_algorithm2_makes_one_pass():
+    # algorithm2 logs as it walks `_peel` and cuts the log at the best state,
+    # so it keeps no list of states to walk a second time.
+    tree = ast.parse((SRC / "algorithms.py").read_text(), filename="algorithms.py")
+    fn = next(node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "algorithm2")
+    loops = [type(node).__name__ for node in ast.walk(fn)
+             if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    assert loops == ["For"], f"algorithm2 has loops {loops}"
+
+
+def test_one_trace_per_run():
+    # Each public entry point makes its run's one RunTrace; the partition
+    # core and step write into the trace they are given.
+    tree = ast.parse((SRC / "algorithms.py").read_text(), filename="algorithms.py")
+    makers = sorted(fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                    for node in ast.walk(fn) if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "RunTrace")
+    assert makers == ["algorithm1", "algorithm2", "caro_tuza_greedy", "lovasz_largest_class",
+                      "lovasz_partition"]
+
+
 # The README's module table, bottom layer first: each module imports only
 # modules listed before it, inside functions too.  `kindep/__init__` imports
 # no submodule.
