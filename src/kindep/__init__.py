@@ -11,7 +11,7 @@ import importlib
 # module -> the public names it defines.
 _NAMES = {
     "graph": "CertificateError Graph GraphError WitnessSet build copies disjoint_union"
-    " girth induced_subgraph verify_k_independent",
+    " girth verify_k_independent",
     "generators": "FamilySpec blend complete complete_minus_clique complete_minus_cycle"
     " j_graph make_graph parse_family random_gnm star thm10_odd thm12_2 thm14_5"
     " thm14_6 wagner_r8",
@@ -21,7 +21,7 @@ _NAMES = {
     " thm_first_approach_bound witness_ratio",
     "algorithms": "Partition RunTrace algorithm1 algorithm2 caro_tuza_greedy"
     " lovasz_largest_class lovasz_partition",
-    "oracle": "OracleLimitError alpha_k_bruteforce alpha_k_exact chi_k_exact",
+    "oracle": "OracleLimitError alpha_k_exact chi_k_exact",
 }
 # exported name -> the module that defines it; a submodule maps to itself.
 _HOME = {name: module for module, names in _NAMES.items() for name in [module, *names.split()]}

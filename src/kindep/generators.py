@@ -200,6 +200,8 @@ def parse_family(text: str) -> FamilySpec:
             key = key.strip()
             if key != "seed" and key not in names:
                 raise GraphError(f"family '{name}' has no parameter '{key}'")
+            if key in keyed:
+                raise GraphError(f"family '{name}' gets parameter '{key}' twice")
             try:
                 keyed[key] = int(val)
             except ValueError:
@@ -212,6 +214,8 @@ def parse_family(text: str) -> FamilySpec:
     params: list[int] = []
     for i, pname in enumerate(names):
         if pname in keyed:
+            if i < len(positional):
+                raise GraphError(f"family '{name}' gets parameter '{pname}' twice")
             params.append(keyed[pname])
         elif i < len(positional):
             params.append(positional[i])

@@ -120,21 +120,6 @@ def build(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(adj)
 
 
-def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Subgraph induced by `keep`, re-indexed densely.
-
-    Returns the new graph together with the mapping from new index to old
-    index (a sorted tuple).
-    """
-    kept = sorted(set(keep))
-    for v in kept:
-        if not 0 <= v < g.n:
-            raise GraphError(f"vertex {v} not in graph of order {g.n}")
-    pos = {old: new for new, old in enumerate(kept)}
-    adj = [[pos[u] for u in g.neighbors(old) if u in pos] for old in kept]
-    return Graph(adj), tuple(kept)
-
-
 def disjoint_union(*graphs: Graph) -> Graph:
     """The graphs side by side, left to right, each one's indices shifted
     by the orders of those before it."""

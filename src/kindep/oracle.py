@@ -1,10 +1,9 @@
 """Exact values of alpha_k and chi_k on small graphs.
 
-Two independent exact methods are provided for alpha_k: a bitmask
-branch-and-bound (the workhorse, decomposing by connected components) and a
-full subset enumeration (the cross-check for tiny graphs).  Every derived
-quantity in the package ultimately leans on these, so they are kept simple
-enough to audit.
+alpha_k comes from a bitmask branch-and-bound that decomposes by connected
+components, chi_k from a backtracking assignment.  Every derived quantity
+in the package ultimately leans on these, so they are kept simple enough to
+audit.
 
 Both searches walk explicit stacks, so deep searches need no recursion.
 The branch-and-bound carries a forced set along each branch: the vertices
@@ -24,7 +23,6 @@ from .graph import CertificateError, Graph, GraphError, WitnessSet, verify_k_ind
 
 DEFAULT_ALPHA_LIMIT = 40
 DEFAULT_CHI_LIMIT = 20
-_BRUTEFORCE_CAP = 18
 
 
 class OracleLimitError(GraphError):
@@ -263,33 +261,6 @@ def alpha_k_exact(
     if not verify_k_independent(g, witness.vertices, k):
         raise CertificateError("oracle witness is not k-independent")
     return witness.size, witness
-
-
-def alpha_k_bruteforce(g: Graph, k: int) -> int:
-    """alpha_k by checking all 2^n subsets; the independent cross-check."""
-    if k < 0:
-        raise GraphError(f"k must be nonnegative, got {k}")
-    if g.n > _BRUTEFORCE_CAP:
-        raise OracleLimitError(
-            f"order n={g.n} exceeds enumeration cap {_BRUTEFORCE_CAP}"
-        )
-    masks = _adjacency_masks(g)
-    best = 0
-    for subset in range(1 << g.n):
-        size = subset.bit_count()
-        if size <= best:
-            continue
-        m = subset
-        ok = True
-        while m:
-            bit = m & -m
-            m ^= bit
-            if (masks[bit.bit_length() - 1] & subset).bit_count() > k:
-                ok = False
-                break
-        if ok:
-            best = size
-    return best
 
 
 def chi_k_exact(g: Graph, k: int, limit: int | None = None) -> int:

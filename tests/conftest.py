@@ -1,5 +1,9 @@
 """Shared corpora and helpers for the test suite.
 
+`alpha_k_bruteforce` and `induced_subgraph` are test references, not part of
+the package; the brute force builds its own neighbour masks, so it shares no
+code with the search it checks.
+
 The random corpora are fully seeded: instance i uses seed base+i, order
 n cycles through 1..max_n and the target density cycles through 0, 0.1,
 ..., 1.0 of n^2/4 edges, so average degrees span 0 to about n/2.
@@ -7,10 +11,15 @@ n cycles through 1..max_n and the target density cycles through 0, 0.1,
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import pytest
 
 from kindep.generators import random_gnm
-from kindep.graph import Graph, build
+from kindep.graph import Graph, GraphError, build
+from kindep.oracle import OracleLimitError
+
+BRUTEFORCE_CAP = 18
 
 
 def gnm_corpus(count: int, max_n: int, seed_base: int) -> list[Graph]:
@@ -68,3 +77,40 @@ def cycle(n: int) -> Graph:
 
 def path(n: int) -> Graph:
     return build(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
+    """Subgraph induced by `keep`, re-indexed densely, with the sorted
+    tuple mapping each new index to its old one."""
+    kept = sorted(set(keep))
+    for v in kept:
+        if not 0 <= v < g.n:
+            raise GraphError(f"vertex {v} not in graph of order {g.n}")
+    pos = {old: new for new, old in enumerate(kept)}
+    adj = [[pos[u] for u in g.neighbors(old) if u in pos] for old in kept]
+    return Graph(adj), tuple(kept)
+
+
+def alpha_k_bruteforce(g: Graph, k: int) -> int:
+    """alpha_k by checking all 2^n subsets, on neighbour masks of its own."""
+    if k < 0:
+        raise GraphError(f"k must be nonnegative, got {k}")
+    if g.n > BRUTEFORCE_CAP:
+        raise OracleLimitError(f"order n={g.n} exceeds enumeration cap {BRUTEFORCE_CAP}")
+    masks = [sum(1 << u for u in g.neighbors(v)) for v in range(g.n)]
+    best = 0
+    for subset in range(1 << g.n):
+        size = subset.bit_count()
+        if size <= best:
+            continue
+        m = subset
+        ok = True
+        while m:
+            bit = m & -m
+            m ^= bit
+            if (masks[bit.bit_length() - 1] & subset).bit_count() > k:
+                ok = False
+                break
+        if ok:
+            best = size
+    return best

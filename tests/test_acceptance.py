@@ -20,7 +20,9 @@ from kindep.bounds import (
 from kindep.cli import main
 from kindep.generators import complete, j_graph, star, thm12_2, thm14_5, thm14_6, wagner_r8
 from kindep.graph import build, copies, disjoint_union, verify_k_independent
-from kindep.oracle import alpha_k_bruteforce, alpha_k_exact
+from kindep.oracle import alpha_k_exact
+
+from conftest import alpha_k_bruteforce
 
 
 class Budget:

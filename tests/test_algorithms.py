@@ -26,12 +26,11 @@ from kindep.graph import (
     build,
     copies,
     disjoint_union,
-    induced_subgraph,
     verify_k_independent,
 )
 from kindep.oracle import _components, alpha_k_exact
 
-from conftest import cycle, petersen
+from conftest import cycle, induced_subgraph, petersen
 
 
 def class_degrees_ok(g, part: Partition) -> bool:

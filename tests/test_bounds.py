@@ -35,10 +35,9 @@ from kindep.generators import (
     wagner_r8,
 )
 from kindep.graph import GraphError, build, copies, disjoint_union
-from kindep.oracle import (DEFAULT_ALPHA_LIMIT, OracleLimitError, alpha_k_bruteforce,
-                           alpha_k_exact)
+from kindep.oracle import DEFAULT_ALPHA_LIMIT, OracleLimitError, alpha_k_exact
 
-from conftest import cycle, petersen
+from conftest import alpha_k_bruteforce, cycle, petersen
 
 
 class TestPotential:

@@ -305,6 +305,10 @@ class TestErrors:
         code, _, err = run_cli(capsys, "bound", "--family", "nope:3", "--k", "1")
         assert code == 2 and "unknown family" in err
 
+    def test_parameter_given_twice(self, capsys):
+        code, out, err = run_cli(capsys, "gen", "--family", "j:4,n=6")
+        assert (code, out, err) == (2, "", "error: family 'j' gets parameter 'n' twice\n")
+
     def test_missing_source(self, capsys):
         code, _, err = run_cli(capsys, "bound", "--k", "1")
         assert code == 2

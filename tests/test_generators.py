@@ -22,7 +22,9 @@ from kindep.generators import (
     wagner_r8,
 )
 from kindep.graph import GraphError, build, disjoint_union, girth
-from kindep.oracle import alpha_k_bruteforce, alpha_k_exact
+from kindep.oracle import alpha_k_exact
+
+from conftest import alpha_k_bruteforce
 
 
 class TestBasicFamilies:
@@ -347,6 +349,19 @@ class TestFamilySpec:
     def test_missing_parameter(self):
         with pytest.raises(GraphError):
             parse_family("thm14_5:d=3")
+
+    @pytest.mark.parametrize("text,family,param", [
+        ("j:4,n=6", "j", "n"),
+        ("j:n=6,4", "j", "n"),
+        ("j:n=6,n=6", "j", "n"),
+        ("gnm:n=5,n=6,m=3,seed=1", "gnm", "n"),
+        ("gnm:n=5,m=3,seed=1,seed=2", "gnm", "seed"),
+        ("thm14_5:3,0,q=1", "thm14_5", "q"),
+        ("blend:j:4+complete:3,n=5", "complete", "n"),
+    ])
+    def test_parameter_given_twice(self, text, family, param):
+        with pytest.raises(GraphError, match=f"family '{family}' gets parameter '{param}' twice"):
+            parse_family(text)
 
     @pytest.mark.parametrize("text", ["j:6,7", "gnm:30,60,7"])
     def test_too_many_parameters(self, text):

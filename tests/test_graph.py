@@ -23,12 +23,11 @@ from kindep.graph import (
     copies,
     disjoint_union,
     girth,
-    induced_subgraph,
     verify_k_independent,
 )
 from kindep.generators import complete, j_graph, random_gnm, star
 
-from conftest import cycle, path
+from conftest import cycle, induced_subgraph, path
 
 
 def random_graphs():

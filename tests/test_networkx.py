@@ -9,9 +9,9 @@ import pytest
 
 from kindep import oracle
 from kindep.generators import complete, random_gnm, star, wagner_r8
-from kindep.graph import build, disjoint_union, girth, induced_subgraph
+from kindep.graph import build, disjoint_union, girth
 
-from conftest import cycle, path, petersen
+from conftest import cycle, induced_subgraph, path, petersen
 
 nx = pytest.importorskip("networkx")
 

@@ -5,17 +5,15 @@ from hypothesis import strategies as st
 from kindep import oracle
 from kindep.algorithms import caro_tuza_greedy
 from kindep.generators import complete, j_graph, random_gnm, star, thm14_6, wagner_r8
-from kindep.graph import (GraphError, build, copies, disjoint_union, induced_subgraph,
-                          verify_k_independent)
+from kindep.graph import GraphError, build, copies, disjoint_union, verify_k_independent
 from kindep.oracle import (
     OracleLimitError,
     WitnessSet,
-    alpha_k_bruteforce,
     alpha_k_exact,
     chi_k_exact,
 )
 
-from conftest import LARGE_PINNED, cycle
+from conftest import LARGE_PINNED, alpha_k_bruteforce, cycle, induced_subgraph
 
 
 class TestAlphaExact:

@@ -12,11 +12,11 @@ from kindep.bounds import TableRow, WitnessRatio
 PUBLIC_NAMES = [
     "BoundReport", "BoundRow", "CertificateError", "FamilySpec", "Graph", "GraphError",
     "OracleLimitError", "Partition", "RunTrace", "WitnessSet", "algorithm1", "algorithm2",
-    "algorithms", "alpha_k_bruteforce", "alpha_k_exact", "blend", "bound_report", "bounds",
+    "algorithms", "alpha_k_exact", "blend", "bound_report", "bounds",
     "build", "caro_tuza_greedy", "caro_tuza_sum", "chi_k_exact", "complete",
     "complete_minus_clique", "complete_minus_cycle", "copies", "corollary_avg",
     "corollary_halfbound", "disjoint_union", "f1_exact", "f_lower", "f_upper_catalog",
-    "frac_str", "generators", "girth", "graph", "hopkins_staton", "induced_subgraph", "j_graph",
+    "frac_str", "generators", "girth", "graph", "hopkins_staton", "j_graph",
     "lovasz_largest_class", "lovasz_partition", "main_bound", "make_graph",
     "oracle", "parse_family", "potential_f", "random_gnm", "residue_t",
     "star", "table_f2", "theorem6_check", "thm10_odd", "thm12_2", "thm14_5", "thm14_6",

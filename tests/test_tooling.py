@@ -86,14 +86,11 @@ def test_formats_checks_each_edge_once():
 
 def test_algorithms_partition_without_copying():
     # Algorithms 1 and 2 partition the survivors in rank space, so nothing in
-    # algorithms.py copies a graph with induced_subgraph.
+    # algorithms.py builds a new graph, through Graph(...) or build(...).
     tree = ast.parse((SRC / "algorithms.py").read_text(), filename="algorithms.py")
-    imports = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-               and any(a.name == "induced_subgraph" for a in node.names)]
     calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
-             and getattr(node.func, "attr", getattr(node.func, "id", None)) == "induced_subgraph"]
-    assert imports == [] and calls == [], \
-        f"algorithms.py uses induced_subgraph on lines {imports + calls}"
+             and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("Graph", "build")]
+    assert calls == [], f"algorithms.py builds a Graph on lines {calls}"
 
 
 def test_one_max_degree_deletion_order():
