@@ -11,16 +11,19 @@ A line ends at each line feed.  A stream opened in text mode with the
 default ``newline`` argument has already turned CR LF and lone CR line
 ends into line feeds.
 
-Each reader walks the file line by line up to the header.  The text after
-the header is then checked and parsed as one block by `_edge_block`, with
-string and integer operations that run in C.  If that check rejects
-anything, the reader goes on line by line from the header, and that loop
-alone decides what is valid and which error is raised.
+Each reader walks the file line by line up to the header.  `_edge_block`
+then reads the rest with one `bytes.translate` as its gate and one
+`json.loads` as its parse, when it is what `dumps_edge_list` and `kindep gen`
+write: m ASCII lines `u v` (DIMACS: `e u v`), one space or tab between
+fields, no other blank, comment or leading zero, and a final line feed.  Any
+other text, or any failed check, sends the reader on line by line from the
+header; that loop alone decides what is valid and which error is raised.
 """
 
 from __future__ import annotations
 
 import io
+import json
 import operator
 import re
 from pathlib import Path
@@ -78,39 +81,51 @@ def _graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 # its "\n", but without the four-byte-per-character copy StringIO makes.
 _LINE = re.compile(r".*\n|.+")
 
-# Matches at the start of the first line of a block that is not `prefix u v`
-# in ASCII digits, spaces and tabs, or at the very end of a block that ends
-# in a newline.  A whole-block fullmatch would say the same, but its
-# backtracking stack grows with the file.
-_BAD_LINE = {
-    prefix: re.compile(rf"^(?![ \t]*{lead}[0-9]+[ \t]+[0-9]+[ \t]*$)", re.M)
-    for prefix, lead in (("", ""), ("e", "e[ \t]+"))
-}
+# Once tabs are spaces and digits are gone, what each edge line leaves.
+_SEPARATORS = {"": b" \n", "e": b"e  \n"}
+_TAB_TO_SPACE = bytes.maketrans(b"\t", b" ")
+_TO_COMMA = bytes.maketrans(b" \t\n", b",,,")
 
 
 def _edge_block(body: str, prefix: str, base: int, n: int, m: int) -> Graph | None:
-    """The graph of `body`, the text after the header, when every line of it
-    is an edge `prefix u v` in ASCII digits that `_edge` would accept and
-    there are m of them; otherwise None."""
-    bad = _BAD_LINE[prefix].search(body)
-    if bad is not None and bad.start() < len(body):
+    """The graph of `body`, the text after the header, when it is m lines
+    `prefix u v` with single spaces or tabs, each ending in a line feed, in
+    ASCII digits without a leading zero, that `_edge` accepts; else None.
+
+    Proof.  The gate passes exactly the ASCII bodies of m lines `E s D s D f`
+    (edge list: `D s D f`) and a last D, each D a run of digits, maybe empty,
+    each E an e with digits maybe glued on, s a space or tab and f the line
+    feed.  The DIMACS checks make each E a bare e: the first line starts
+    `e s`, and m - 1 more e's sit between two separators.  With separators
+    as commas and one final comma dropped, JSON reads 2m integers exactly
+    when the last D is empty and no other D is empty or has a needless
+    leading 0.  Then line i holds the two tokens D that `line.split()`
+    gives, and JSON reads them as `int` does."""
+    if not body.isascii() or 4 * m > len(body):  # 4 bytes a line at least; bounds `* m`
         return None
-    tokens = body.split()
+    raw = body.encode()
+    if raw.translate(_TAB_TO_SPACE, b"0123456789") != _SEPARATORS[prefix] * m:
+        return None
+    fields = raw.translate(_TO_COMMA).removesuffix(b",")
     if prefix:
-        del tokens[::3]
-    if len(tokens) != 2 * m:  # two endpoints per line, so a repeated edge counts
-        return None
+        if fields[:2] != b"e," or fields.count(b",e,") != m - 1:
+            return None
+        fields = fields[2:].replace(b",e,", b",")
     try:
-        ends = list(map(int, tokens))
-    except ValueError:  # more digits than int() converts
+        ends = json.loads(b"[" + fields + b"]")
+    except ValueError:  # an empty token, a leading zero or too many digits
         return None
-    del tokens  # free the strings before the graph is built
+    if len(ends) != 2 * m or base and 0 in ends:  # a DIMACS endpoint counts from 1
+        return None
     if base:
         ends = [x - base for x in ends]
     us, vs = ends[0::2], ends[1::2]
-    if ends and (min(ends) < 0 or max(ends) >= n) or any(map(operator.eq, us, vs)):
+    if any(map(operator.eq, us, vs)):
         return None
-    return _graph(n, zip(us, vs))
+    try:
+        return _graph(n, zip(us, vs))
+    except IndexError:  # an endpoint past n - 1
+        return None
 
 
 def read_edge_list(stream: TextIO) -> Graph:
@@ -180,15 +195,15 @@ def dumps_edge_list(g: Graph) -> str:
     return "".join(lines)
 
 
-# The first non-blank line, from its first non-whitespace character.
-_FIRST_RECORD = re.compile(r"\s*([^\n]*)")
+# The first token of the text, as `str.split` finds it.
+_FIRST_TOKEN = re.compile(r"\s*(\S*)")
 
 
 def load_graph(path: str | Path) -> Graph:
-    """Read a graph file, sniffing the format from its first record."""
+    """Read a graph file, sniffing the format from its first token by
+    `read_dimacs`'s rule: a comment or a problem line starts DIMACS."""
     text = Path(path).read_text()
-    first = _FIRST_RECORD.match(text).group(1).splitlines()
-    s = first[0].strip() if first else ""
-    if s.startswith(("p ", "c ")) or s in ("p", "c"):
+    first = _FIRST_TOKEN.match(text)[1]
+    if first.startswith("c") or first == "p":
         return read_dimacs(io.StringIO(text))
     return read_edge_list(io.StringIO(text))

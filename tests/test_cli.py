@@ -65,6 +65,13 @@ class TestBound:
         row = next(r for r in doc["rows"] if r["name"] == "caro_tuza_sum")
         assert row["value"] == "10/1"
 
+    def test_dimacs_file_whose_first_token_ends_in_a_tab(self, capsys, tmp_path):
+        f = tmp_path / "k3.col"
+        f.write_text("c\tmade by hand\np edge 3 3\ne 1 2\ne 2 3\ne 1 3\n")
+        code, out, err = run_cli(capsys, "bound", "--file", str(f), "--k", "1")
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, "bound", "--family", "complete:3", "--k", "1")[1]
+
     def test_text_format(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "--family", "j:6", "--k", "1")
         assert code == 0

@@ -328,6 +328,53 @@ class TestFormats:
         d.write_text("c comment\np edge 3 3\ne 1 2\ne 2 3\ne 1 3\n")
         assert load_graph(d) == complete(3)
 
+    @pytest.mark.parametrize("text", [
+        "c\tmade by hand\np edge 3 3\ne 1 2\ne 2 3\ne 1 3\n",
+        "p\tedge 3 3\ne 1 2\ne 2 3\ne 1 3\n",
+        "comment without a blank after its c\np edge 3 3\ne 1 2\ne 2 3\ne 1 3\n",
+    ], ids=["comment-tab", "problem-tab", "comment-word"])
+    def test_load_sniffs_dimacs_by_the_readers_first_token(self, tmp_path, text):
+        # `read_dimacs` splits on any blank and takes any token starting with c
+        # for a comment, so its first token alone says the file is DIMACS.
+        f = tmp_path / "g.col"
+        f.write_text(text)
+        assert read_dimacs(io.StringIO(text)) == complete(3)
+        assert load_graph(f) == complete(3)
+
+    @pytest.mark.parametrize("reader,text,expected", [
+        # A digit glued to the e leaves the same separators as `e u v`.
+        (read_dimacs, "p edge 3 1\n5e 1 2\n", "GraphFormatError: line 2: unknown record '5e'"),
+        (read_dimacs, "p edge 3 1\ne5 1 2\n", "GraphFormatError: line 2: unknown record 'e5'"),
+        # Two wrong lines that together hold the right number of tokens.
+        (read_dimacs, "p edge 3 2\ne5 1 2\ne 3 \n",
+         "GraphFormatError: line 2: unknown record 'e5'"),
+        # No e at all: the separators of no edge line, but not an empty body.
+        (read_dimacs, "p edge 3 0\n12", "GraphFormatError: line 2: unknown record '12'"),
+        # JSON reads these; the range checks hand them to the line loop.
+        (read_dimacs, "p edge 3 1\ne 0 1\n",
+         "GraphFormatError: line 2: edge (0, 1) out of range 1..3"),
+        (read_edge_list, "3 1\n0 3\n", "GraphFormatError: line 2: edge (0, 3) out of range 0..2"),
+        # An edge count no file can hold: the gate must not build m separators first.
+        (read_edge_list, f"3 {10**30}\n0 1\n",
+         f"GraphFormatError: line 1: header announced {10**30} edges, file has 1"),
+        (read_dimacs, f"p edge 3 {10**30}\ne 1 2\n",
+         f"GraphFormatError: line 1: header announced {10**30} edges, file has 1"),
+        (read_edge_list, "3 1\n 2\n", "GraphFormatError: line 2: expected edge 'u v'"),
+        (read_edge_list, "3 1\n2 \n", "GraphFormatError: line 2: expected edge 'u v'"),
+        # Valid, but JSON rejects the leading zero, so the line loop reads it.
+        (read_edge_list, "3 1\n01 2\n", build(3, [(1, 2)])),
+        (read_edge_list, "3 0\n", build(3, [])),
+        (read_edge_list, "3 2\n0\t1\n1\t2\n", build(3, [(0, 1), (1, 2)])),
+        (read_dimacs, "p edge 3 2\ne\t1\t2\ne\t2\t3\n", build(3, [(0, 1), (1, 2)])),
+    ], ids=["dimacs-digit-before-e", "dimacs-digit-after-e", "dimacs-compensating-lines",
+            "dimacs-no-edge-line", "dimacs-zero-endpoint", "edge-past-n", "edge-huge-count",
+            "dimacs-huge-count", "edge-leading-blank", "edge-trailing-blank", "edge-leading-zero",
+            "edge-empty", "edge-tabs", "dimacs-tabs"])
+    def test_block_gate_agrees_with_the_line_loop(self, reader, text, expected):
+        fast = _outcome(reader, text)
+        with mock.patch.object(formats, "_edge_block", return_value=None):
+            assert _outcome(reader, text) == fast == expected
+
     def test_load_graph_parses_large_files_as_one_block(self, tmp_path, monkeypatch):
         # `_edge` is the line loop's per-edge check.  A reader that fell back to
         # the loop on valid files would stay correct, only slower; this fails it.
@@ -336,13 +383,13 @@ class TestFormats:
 
         monkeypatch.setattr(formats, "_edge", line_loop)
         g = random_gnm(2000, 20000, 1)
-        e = tmp_path / "g.txt"
-        e.write_text(dumps_edge_list(g))
-        d = tmp_path / "g.col"
-        d.write_text(f"c leading comment\np edge {g.n} {g.edge_count()}\n"
-                     + "".join(f"e {u + 1} {v + 1}\n" for u, v in g.edges()))
-        assert load_graph(e) == g
-        assert load_graph(d) == g
+        dimacs = f"c leading comment\np edge {g.n} {g.edge_count()}\n" + "".join(
+            f"e {u + 1} {v + 1}\n" for u, v in g.edges())
+        for name, text in (("g.txt", dumps_edge_list(g)), ("g.col", dimacs)):
+            for sep in (" ", "\t"):
+                f = tmp_path / name
+                f.write_text(text.replace(" ", sep))
+                assert load_graph(f) == g, (name, repr(sep))
 
 
 @settings(max_examples=60, deadline=None)
@@ -375,16 +422,21 @@ _TOKEN_MUTATIONS = {
 
 @st.composite
 def graph_files(draw, mutate: bool):
-    """(reader, file text, graph it holds) for a random edge sequence with
-    repeated edges, spaces and tabs, LF or CRLF line ends and an optional
-    final newline.  With `mutate`, one token, line or the edge count is then
-    changed, and the graph is None."""
+    """(reader, file text, graph it holds, canonical) for a random edge
+    sequence with repeated edges, spaces and tabs, LF or CRLF line ends and
+    an optional final newline.  A canonical file has one separator, a space
+    or a tab, no blanks around its fields and LF line ends, the last one
+    included: the files `_edge_block` reads.  With `mutate`, one token, line
+    or the edge count is then changed, and the graph is None."""
     dimacs = draw(st.booleans())
     n = draw(st.integers(min_value=2, max_value=12))
     vertex = st.integers(min_value=0, max_value=n - 1)
     edges = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
                           min_size=int(mutate), max_size=20))
+    canonical = draw(st.booleans())
     blank, sep = st.sampled_from(["", " ", "\t", " \t"]), st.sampled_from([" ", "\t", "  "])
+    if canonical:
+        blank, sep = st.just(""), st.just(draw(st.sampled_from([" ", "\t"])))
     base, comment = (1, "c") if dimacs else (0, "#")
     rows = [["e"] * dimacs + [str(u + base), str(v + base)] for u, v in edges]
     m = len(edges)
@@ -405,9 +457,10 @@ def graph_files(draw, mutate: bool):
         body.insert(row, f"{comment} among the edges")
     lines = [f"{comment} a comment"] * draw(st.integers(min_value=0, max_value=2))
     lines.append(f"p edge {n} {m}" if dimacs else f"{n} {m}")
-    end = draw(st.sampled_from(["\n", "\r\n"]))
-    text = end.join(lines + body) + draw(st.sampled_from([end, ""]))
-    return (read_dimacs if dimacs else read_edge_list), text, None if mutate else build(n, edges)
+    end = "\n" if canonical else draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines + body) + (end if canonical else draw(st.sampled_from([end, ""])))
+    reader = read_dimacs if dimacs else read_edge_list
+    return reader, text, None if mutate else build(n, edges), canonical
 
 
 def _outcome(reader, text):
@@ -422,10 +475,13 @@ def _outcome(reader, text):
 def test_block_path_agrees_with_the_line_loop(case):
     # With `_edge_block` answering None every file goes through the line loop,
     # which defines what is valid and every error message.
-    reader, text, graph = case
+    reader, text, graph, canonical = case
     fast = _outcome(reader, text)
     with mock.patch.object(formats, "_edge_block", return_value=None):
         slow = _outcome(reader, text)
     assert fast == slow
     if graph is not None:
         assert fast == graph
+        if canonical:  # `_edge` is the line loop's per-edge check; the block path skips it
+            with mock.patch.object(formats, "_edge", side_effect=AssertionError("line loop")):
+                assert reader(io.StringIO(text)) == graph
