@@ -18,18 +18,20 @@ write: m ASCII lines `u v` (DIMACS: `e u v`), one space or tab between
 fields, no other blank, comment or leading zero, and a final line feed.  Any
 other text, or any failed check, sends the reader on line by line from the
 header; that loop alone decides what is valid and which error is raised.
+Either way the edges go to `graph.build`, the one adjacency builder, which
+checks the range and self-loops of the block; the line loop's own checks
+come first, so that its errors name the line.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import operator
 import re
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import TextIO
 
-from .graph import Graph
+from .graph import Graph, GraphError, build
 
 
 class GraphFormatError(ValueError):
@@ -64,19 +66,6 @@ def _edge(lineno: int, a: str, b: str, n: int, base: int) -> tuple[int, int]:
     return u, v
 
 
-def _graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """The graph on 0..n-1 with these checked edges; repeated edges collapse."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    g = Graph(adj)
-    # Each neighbour tuple is sorted, so a repeated edge shows as equal neighbours.
-    if any(any(map(operator.eq, s, s[1:])) for s in map(g.neighbors, range(n))):
-        g = Graph(map(set, map(g.neighbors, range(n))))
-    return g
-
-
 # The lines of a text as iterating io.StringIO(text) gives them, each with
 # its "\n", but without the four-byte-per-character copy StringIO makes.
 _LINE = re.compile(r".*\n|.+")
@@ -90,7 +79,8 @@ _TO_COMMA = bytes.maketrans(b" \t\n", b",,,")
 def _edge_block(body: str, prefix: str, base: int, n: int, m: int) -> Graph | None:
     """The graph of `body`, the text after the header, when it is m lines
     `prefix u v` with single spaces or tabs, each ending in a line feed, in
-    ASCII digits without a leading zero, that `_edge` accepts; else None.
+    ASCII digits without a leading zero, whose edges `build` accepts; else
+    None.
 
     Proof.  The gate passes exactly the ASCII bodies of m lines `E s D s D f`
     (edge list: `D s D f`) and a last D, each D a run of digits, maybe empty,
@@ -100,7 +90,9 @@ def _edge_block(body: str, prefix: str, base: int, n: int, m: int) -> Graph | No
     as commas and one final comma dropped, JSON reads 2m integers exactly
     when the last D is empty and no other D is empty or has a needless
     leading 0.  Then line i holds the two tokens D that `line.split()`
-    gives, and JSON reads them as `int` does."""
+    gives, and JSON reads them as `int` does.  Less `base`, `build` rejects
+    exactly the edges `_edge` rejects: a self-loop, or an endpoint outside
+    0..n-1, such as a DIMACS 0, which becomes -1."""
     if not body.isascii() or 4 * m > len(body):  # 4 bytes a line at least; bounds `* m`
         return None
     raw = body.encode()
@@ -115,16 +107,13 @@ def _edge_block(body: str, prefix: str, base: int, n: int, m: int) -> Graph | No
         ends = json.loads(b"[" + fields + b"]")
     except ValueError:  # an empty token, a leading zero or too many digits
         return None
-    if len(ends) != 2 * m or base and 0 in ends:  # a DIMACS endpoint counts from 1
+    if len(ends) != 2 * m:
         return None
     if base:
         ends = [x - base for x in ends]
-    us, vs = ends[0::2], ends[1::2]
-    if any(map(operator.eq, us, vs)):
-        return None
     try:
-        return _graph(n, zip(us, vs))
-    except IndexError:  # an endpoint past n - 1
+        return build(n, zip(ends[0::2], ends[1::2]))
+    except GraphError:  # a self-loop or an endpoint out of range
         return None
 
 
@@ -152,7 +141,7 @@ def read_edge_list(stream: TextIO) -> Graph:
         raise GraphFormatError("line 1: missing 'n m' header")
     if len(edges) != m:
         raise GraphFormatError(f"line {header}: header announced {m} edges, file has {len(edges)}")
-    return _graph(n, edges)
+    return build(n, edges)
 
 
 def read_dimacs(stream: TextIO) -> Graph:
@@ -185,7 +174,7 @@ def read_dimacs(stream: TextIO) -> Graph:
         raise GraphFormatError("line 1: missing 'p edge n m' line")
     if len(edges) != m:
         raise GraphFormatError(f"line {header}: header announced {m} edges, file has {len(edges)}")
-    return _graph(n, edges)
+    return build(n, edges)
 
 
 def dumps_edge_list(g: Graph) -> str:

@@ -9,6 +9,7 @@ values; no floats appear anywhere.
 from __future__ import annotations
 
 import math
+import operator
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 if TYPE_CHECKING:
@@ -104,20 +105,28 @@ class WitnessSet(NamedTuple):
 def build(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from a vertex count and an edge list.
 
+    Adjacency is one list per vertex, each edge checked once as it is added.
     Duplicate edges collapse; self-loops and out-of-range indices raise
     GraphError.
     """
     if n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {n}")
-    adj: list[set[int]] = [set() for _ in range(n)]
+    adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
-        if u == v:
-            raise GraphError(f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
-        adj[u].add(v)
-        adj[v].add(u)
-    return Graph(adj)
+        try:
+            # A list index would wrap a negative endpoint; one past n - 1 raises itself.
+            if u == v or u < 0 or v < 0:
+                raise IndexError
+            adj[u].append(v)
+            adj[v].append(u)
+        except IndexError:
+            raise GraphError(f"self-loop at vertex {u}" if u == v
+                             else f"edge ({u}, {v}) out of range for n={n}") from None
+    g = Graph(adj)
+    # Each neighbour tuple is sorted, so a repeated edge shows as equal neighbours.
+    if any(any(map(operator.eq, s, s[1:])) for s in g._adj):
+        g = Graph(map(set, g._adj))
+    return g
 
 
 def disjoint_union(*graphs: Graph) -> Graph:

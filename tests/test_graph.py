@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -70,6 +71,49 @@ class TestBuild:
     def test_negative_order_rejected(self):
         with pytest.raises(GraphError):
             build(-1, [])
+
+    @pytest.mark.parametrize("edges,message", [
+        ([(-1, 0)], "edge (-1, 0) out of range for n=3"),
+        ([(3, -1)], "edge (3, -1) out of range for n=3"),
+        ([(-4, -4)], "self-loop at vertex -4"),
+        ([(0, 9), (2, 2)], "edge (0, 9) out of range for n=3"),
+        ([(0, 1), (2, 2), (0, 9)], "self-loop at vertex 2"),
+    ])
+    @pytest.mark.parametrize("wrap", [list, iter])
+    def test_first_bad_edge_names_the_error(self, edges, message, wrap):
+        # The list adjacency wraps a negative index, so `build` must test
+        # the sign itself; the message is that of the first bad edge.
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            build(3, wrap(edges))
+
+
+def _build_reference(n, edges):
+    """`build` as one set per vertex, each edge checked before it is added."""
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        if u == v:
+            return f"self-loop at vertex {u}"
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge ({u}, {v}) out of range for n={n}"
+        adj[u].add(v)
+        adj[v].add(u)
+    return tuple(tuple(sorted(s)) for s in adj)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(-2, n + 1), st.integers(-2, n + 1)), max_size=40))))
+def test_build_agrees_with_a_set_reference(case):
+    # Endpoints range over -2..n+1, so pairs repeat, come in both orientations
+    # and sometimes leave 0..n-1 or close a loop.
+    n, edges = case
+    expected = _build_reference(n, edges)
+    for wrap in (list, iter):
+        try:
+            got = tuple(map(build(n, wrap(edges)).neighbors, range(n)))
+        except GraphError as exc:
+            got = str(exc)
+        assert got == expected
 
 
 class TestDegrees:
@@ -359,6 +403,9 @@ class TestFormats:
          f"GraphFormatError: line 1: header announced {10**30} edges, file has 1"),
         (read_dimacs, f"p edge 3 {10**30}\ne 1 2\n",
          f"GraphFormatError: line 1: header announced {10**30} edges, file has 1"),
+        # Self-loops in the canonical shape: `build` rejects them for the gate.
+        (read_edge_list, "3 1\n1 1\n", "GraphFormatError: line 2: self-loop at vertex 1"),
+        (read_dimacs, "p edge 3 1\ne 2 2\n", "GraphFormatError: line 2: self-loop at vertex 2"),
         (read_edge_list, "3 1\n 2\n", "GraphFormatError: line 2: expected edge 'u v'"),
         (read_edge_list, "3 1\n2 \n", "GraphFormatError: line 2: expected edge 'u v'"),
         # Valid, but JSON rejects the leading zero, so the line loop reads it.
@@ -368,8 +415,8 @@ class TestFormats:
         (read_dimacs, "p edge 3 2\ne\t1\t2\ne\t2\t3\n", build(3, [(0, 1), (1, 2)])),
     ], ids=["dimacs-digit-before-e", "dimacs-digit-after-e", "dimacs-compensating-lines",
             "dimacs-no-edge-line", "dimacs-zero-endpoint", "edge-past-n", "edge-huge-count",
-            "dimacs-huge-count", "edge-leading-blank", "edge-trailing-blank", "edge-leading-zero",
-            "edge-empty", "edge-tabs", "dimacs-tabs"])
+            "dimacs-huge-count", "edge-self-loop", "dimacs-self-loop", "edge-leading-blank",
+            "edge-trailing-blank", "edge-leading-zero", "edge-empty", "edge-tabs", "dimacs-tabs"])
     def test_block_gate_agrees_with_the_line_loop(self, reader, text, expected):
         fast = _outcome(reader, text)
         with mock.patch.object(formats, "_edge_block", return_value=None):

@@ -73,15 +73,25 @@ def test_no_dataclasses_import(path):
     assert lines == [], f"{path.name} imports dataclasses on lines {lines}"
 
 
-def test_formats_checks_each_edge_once():
-    # The readers check every edge themselves, so they build their graphs
-    # without graph.build, which would check each edge again.
-    tree = ast.parse((SRC / "formats.py").read_text(), filename="formats.py")
-    imports = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-               and any(a.name == "build" for a in node.names)]
-    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
-             and getattr(node.func, "attr", getattr(node.func, "id", None)) == "build"]
-    assert imports == [] and calls == [], f"formats.py uses build on lines {imports + calls}"
+def _called_names(node):
+    return {getattr(call.func, "attr", getattr(call.func, "id", None))
+            for call in ast.walk(node) if isinstance(call, ast.Call)}
+
+
+def test_one_adjacency_builder():
+    # graph.build is the one place an edge list becomes adjacency: only
+    # graph.py calls Graph(...), formats.py defines no builder of its own,
+    # and both readers, line loop and block path alike, call build.
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in SRC.glob("*.py")}
+    calling = sorted(name for name, tree in trees.items() if "Graph" in _called_names(tree))
+    functions = {node.name: node for node in ast.walk(trees["formats.py"])
+                 if isinstance(node, ast.FunctionDef)}
+    assert calling == ["graph.py"], f"Graph(...) is called in {calling}"
+    assert "_graph" not in functions
+    assert "build" in _called_names(functions["_edge_block"])
+    for reader in ("read_edge_list", "read_dimacs"):
+        assert {"build", "_edge_block"} <= _called_names(functions[reader]), reader
 
 
 def test_algorithms_partition_without_copying():
