@@ -12,7 +12,6 @@ Vertex layout conventions are fixed so outputs are reproducible:
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 from .graph import Graph, GraphError, build, copies, disjoint_union
@@ -20,28 +19,14 @@ from .graph import Graph, GraphError, build, copies, disjoint_union
 _MASK64 = (1 << 64) - 1
 
 
-class SplitMix64:
-    """splitmix64: tiny platform-independent 64-bit PRNG."""
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+def _splitmix64(seed: int):
+    """Yield splitmix64's outputs forever: a tiny platform-independent 64-bit PRNG."""
+    state = seed & _MASK64
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-    def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound), unbiased via rejection."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        limit = (1 << 64) - ((1 << 64) % bound)
-        while True:
-            r = self.next_u64()
-            if r < limit:
-                return r % bound
+        yield z ^ (z >> 31)
 
 
 def complete(n: int) -> Graph:
@@ -122,30 +107,39 @@ def blend(g1: Graph, g2: Graph) -> Graph:
     return disjoint_union(copies(g2.n, g1), copies(g1.n, g2))
 
 
-def _pair_decode(p: int) -> tuple[int, int]:
-    # Inverse of the ranking (u, v) -> v(v-1)/2 + u over pairs with u < v.
-    v = (1 + math.isqrt(1 + 8 * p)) // 2
-    u = p - v * (v - 1) // 2
-    return u, v
-
-
 def random_gnm(n: int, m: int, seed: int) -> Graph:
     """Uniform random simple graph with exactly m edges.
 
-    Fully determined by the seed: splitmix64 drives Floyd's algorithm for
-    sampling m distinct pair ranks, which are decoded to edges.
+    Fully determined by the seed: one splitmix64 stream drives Floyd's
+    algorithm for sampling m distinct pair ranks, which are decoded to edges.
+    Step j keeps a draw r below 2**64 - 2**64 % (j + 1), so r % (j + 1) is
+    uniform on [0, j].  As 2**64 % (j + 1) <= j <= total - 1, every draw
+    below sure = 2**64 - total is under that limit and is kept untested.
     """
     if n < 0:
         raise GraphError(f"n must be nonnegative, got {n}")
     total = n * (n - 1) // 2
     if not 0 <= m <= total:
         raise GraphError(f"m={m} out of range [0, {total}] for n={n}")
-    rng = SplitMix64(seed)
+    draws = _splitmix64(seed)
+    sure = (1 << 64) - total
     chosen: set[int] = set()
     for j in range(total - m, total):
-        t = rng.below(j + 1)
+        r = next(draws)
+        while r >= sure and r >= (1 << 64) - (1 << 64) % (j + 1):
+            r = next(draws)
+        t = r % (j + 1)
         chosen.add(t if t not in chosen else j)
-    return build(n, [_pair_decode(p) for p in chosen])
+    # Rank p stands for the pair (u, v), u < v, with p = v(v-1)/2 + u.  Walk
+    # the ranks upward, keeping first = v(v-1)/2, the rank of (0, v).
+    edges = []
+    v = first = 0
+    for p in sorted(chosen):
+        while p >= first + v:
+            first += v
+            v += 1
+        edges.append((p - first, v))
+    return build(n, edges)
 
 
 class FamilySpec(NamedTuple):

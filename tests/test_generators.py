@@ -1,9 +1,13 @@
+import hashlib
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kindep import generators
+from kindep.formats import dumps_edge_list
 from kindep.generators import (
     FamilySpec,
     blend,
@@ -296,6 +300,77 @@ class TestRandomGnm:
     def test_out_of_range_rejected(self):
         with pytest.raises(GraphError):
             random_gnm(4, 7, 0)
+
+
+def frozen_random_gnm(n, m, seed):
+    """random_gnm's former construction: a class-style splitmix64, a
+    rejection limit computed for every draw, Floyd's loop, and each rank
+    decoded by isqrt in set order."""
+    mask = (1 << 64) - 1
+
+    class SplitMix64:
+        def __init__(self, seed):
+            self.state = seed & mask
+
+        def next_u64(self):
+            self.state = (self.state + 0x9E3779B97F4A7C15) & mask
+            z = self.state
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            return z ^ (z >> 31)
+
+        def below(self, bound):
+            limit = (1 << 64) - ((1 << 64) % bound)
+            while True:
+                r = self.next_u64()
+                if r < limit:
+                    return r % bound
+
+    def decode(p):
+        v = (1 + math.isqrt(1 + 8 * p)) // 2
+        return p - v * (v - 1) // 2, v
+
+    rng, total, chosen = SplitMix64(seed), n * (n - 1) // 2, set()
+    for j in range(total - m, total):
+        t = rng.below(j + 1)
+        chosen.add(t if t not in chosen else j)
+    return build(n, [decode(p) for p in chosen])
+
+
+@st.composite
+def gnm_arguments(draw):
+    n = draw(st.integers(0, 40))
+    return n, draw(st.integers(0, n * (n - 1) // 2)), draw(st.integers(-2**70, 2**70))
+
+
+class TestRandomGnmAgainstFrozen:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(gnm_arguments())
+    def test_same_graph(self, args):
+        assert random_gnm(*args) == frozen_random_gnm(*args)
+
+    @pytest.mark.parametrize("args,digest", [
+        ((4000, 12000, 1), "ba448df960c243fe"),
+        ((2000, 20000, 1), "be7cffa14fd16dc9"),
+        ((30, 60, 7), "ba1443ab67aacd61"),
+        ((12, 20, -5), "595c6c18bbae2594"),
+        ((10, 45, 2**70 + 1), "1df85460ce06d8c5"),
+    ])
+    def test_pinned_digest(self, args, digest):
+        text = dumps_edge_list(random_gnm(*args))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+    # random_gnm(3, 1, .) makes one draw for j = 2: pair ranks 0, 1, 2 are the
+    # edges (0, 1), (0, 2), (1, 2).  2**64 % 3 == 1, so the rejection limit is
+    # 2**64 - 1 and sure is 2**64 - 3.  No real seed is known to reach either
+    # case, so the stream is crafted.
+    @pytest.mark.parametrize("stream,edge", [
+        ((2**64 - 1, 5), (1, 2)),  # at the limit: skipped, 5 % 3 = 2 kept
+        ((2**64 - 2, 3), (1, 2)),  # above sure, below the limit: kept
+    ])
+    def test_rejection(self, monkeypatch, stream, edge):
+        monkeypatch.setattr(generators, "_splitmix64", lambda seed: iter(stream))
+        assert list(random_gnm(3, 1, 0).edges()) == [edge]
 
 
 @pytest.mark.parametrize(

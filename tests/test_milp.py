@@ -51,14 +51,22 @@ def test_large_pinned(n, m, k):
     assert milp_alpha(random_gnm(n, m, 3), k) == LARGE_PINNED[n, m, k][0]
 
 
-def test_ensemble_cells():
-    # Graphs of the exact_ensemble shape, m in {2n, 4n, 6n} and k 0..2 at
-    # its smallest and largest n.  A solve takes 20-100 ms on a 2-vCPU
-    # machine, so all 45 cells of the grid would add about 2 s.
-    cells = itertools.product((16, 20), (2, 4, 6), range(3))
+def check_ensemble_cells(orders, seed_base):
+    # Graphs of the exact_ensemble shape: m in {2n, 4n, 6n} and k 0..2 for
+    # each n in orders.  A solve takes 20-100 ms on a 2-vCPU machine.
+    cells = itertools.product(orders, (2, 4, 6), range(3))
     for i, (n, c, k) in enumerate(cells):
-        g = random_gnm(n, c * n, 9000 + i)
+        g = random_gnm(n, c * n, seed_base + i)
         assert milp_alpha(g, k) == alpha_k_exact(g, k)[0], (n, c, k)
+
+
+def test_ensemble_cells():
+    check_ensemble_cells((16, 20), 9000)
+
+
+def test_inner_ensemble_cells():
+    # The other 27 cells of the 45-cell grid, on seeds of their own.
+    check_ensemble_cells((17, 18, 19), 9100)
 
 
 def test_table_f2_witnesses():

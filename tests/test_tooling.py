@@ -94,6 +94,17 @@ def test_one_adjacency_builder():
         assert {"build", "_edge_block"} <= _called_names(functions[reader]), reader
 
 
+def test_one_prng_definition():
+    # random_gnm draws from the one splitmix64 generator, whose increment is
+    # the only copy of the constant in the package.
+    count = sum(path.read_text().count("0x9E3779B97F4A7C15") for path in SRC.glob("*.py"))
+    tree = ast.parse((SRC / "generators.py").read_text(), filename="generators.py")
+    names = {node.name for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert count == 1
+    assert names & {"SplitMix64", "_pair_decode"} == set()
+
+
 def test_algorithms_partition_without_copying():
     # Algorithms 1 and 2 partition the survivors in rank space, so nothing in
     # algorithms.py builds a new graph, through Graph(...) or build(...).
