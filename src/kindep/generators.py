@@ -121,6 +121,8 @@ def random_gnm(n: int, m: int, seed: int) -> Graph:
     total = n * (n - 1) // 2
     if not 0 <= m <= total:
         raise GraphError(f"m={m} out of range [0, {total}] for n={n}")
+    if total > 1 << 64:  # the rejection limit below would be 0 for every draw
+        raise GraphError(f"n={n} has more than 2**64 vertex pairs, past random_gnm's limit")
     draws = _splitmix64(seed)
     sure = (1 << 64) - total
     chosen: set[int] = set()

@@ -1,11 +1,12 @@
 """Exact values of alpha_k and chi_k on small graphs.
 
 alpha_k comes from a bitmask branch-and-bound that decomposes by connected
-components, chi_k from a backtracking assignment.  Every derived quantity
-in the package ultimately leans on these, so they are kept simple enough to
-audit.
+components, chi_k from a backtracking assignment to class masks; both read
+the same adjacency masks.  Every derived quantity in the package leans on
+these, so they are kept simple enough to audit.
 
-Both searches walk explicit stacks, so deep searches need no recursion.
+Both searches walk explicit stacks of immutable states, so deep searches
+need no recursion and no move is ever undone.
 The branch-and-bound carries a forced set along each branch: the vertices
 every set beating the best in that subtree must contain.  It prunes with a
 partition bound over the vertices that can still join the forced set,
@@ -266,10 +267,12 @@ def alpha_k_exact(
 def chi_k_exact(g: Graph, k: int, limit: int | None = None) -> int:
     """Smallest number of classes each inducing max degree <= k.
 
-    Tries class counts in ascending order with a backtracking assignment
-    over vertices in decreasing degree order, one depth-first loop over an
-    explicit stack; classes are interchangeable, so a vertex may only open
-    one fresh class beyond those already used.  The counts start at
+    Tries class counts in ascending order with a depth-first assignment of
+    vertices, in decreasing degree order, over an explicit stack.  A state
+    is the next position and the tuple of used classes as vertex masks; a
+    child is a new tuple, so nothing is undone.  v may join a class where
+    it has at most k neighbours, none of which has k already, or open one
+    fresh class, since classes are interchangeable.  The counts start at
     ceil(|Q| / (k+1)) for a greedy clique Q, since a class meets a clique
     in at most k+1 vertices; every count skipped would have been refuted.
     """
@@ -280,52 +283,34 @@ def chi_k_exact(g: Graph, k: int, limit: int | None = None) -> int:
         raise OracleLimitError(f"order n={g.n} exceeds oracle limit {eff_limit}")
     if g.n == 0:
         return 0
+    masks = _adjacency_masks(g)
     cap = -((g.max_degree() + 1) // -(k + 1))
     order = sorted(range(g.n), key=lambda v: -g.degree(v))
-    cls = [-1] * g.n  # class of each placed vertex, -1 if unplaced
-    own = [0] * g.n  # neighbors of a placed vertex inside its class
-
-    def options(v: int, t: int, used: int) -> list[tuple[int, int]]:
-        """(class, v's neighbors in it) for each class in 0..used that v may
-        join: v gets at most k neighbors there, none of which has k already.
-        Placed vertices fill classes 0..used-1."""
-        count = [0] * min(used + 1, t)
-        for u in g.neighbors(v):
-            c = cls[u]
-            if c >= 0:
-                # A neighbor that already has k closes its class to v.
-                count[c] += 1 if own[u] < k else k + 1
-        return [(c, n) for c, n in enumerate(count) if n <= k]
-
-    clique: set[int] = set()
+    clique = 0
     for v in order:
-        if clique.issubset(g.neighbors(v)):
-            clique.add(v)
-    for t in range(-(len(clique) // -(k + 1)), cap + 1):
-        # One entry per placed or pending position: (position, the classes
-        # left to try there, classes used before it).  Every failed count
-        # unwinds to all vertices unplaced.
-        stack = [(0, iter(options(order[0], t, 0)), 0)]
+        if not clique & ~masks[v]:
+            clique |= 1 << v
+    for t in range(-(clique.bit_count() // -(k + 1)), cap + 1):
+        stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
         while stack:
-            pos, untried, used = stack[-1]
-            v = order[pos]
-            c = cls[v]
-            if c >= 0:  # undo the previous try at this position
-                for u in g.neighbors(v):
-                    if cls[u] == c:
-                        own[u] -= 1
-                cls[v] = -1
-            nxt = next(untried, None)
-            if nxt is None:
-                stack.pop()
-                continue
-            c, own[v] = nxt
-            cls[v] = c
-            for u in g.neighbors(v):
-                if cls[u] == c:
-                    own[u] += 1
-            if pos + 1 == g.n:
+            pos, classes = stack.pop()
+            if pos == g.n:
                 return t
-            used = max(used, c + 1)
-            stack.append((pos + 1, iter(options(order[pos + 1], t, used)), used))
+            v = order[pos]
+            bit = 1 << v
+            children = []
+            for i, cm in enumerate(classes):
+                inside = masks[v] & cm
+                if inside.bit_count() > k:
+                    continue
+                while inside:  # a neighbour that already has k closes cm to v
+                    low = inside & -inside
+                    if (masks[low.bit_length() - 1] & cm).bit_count() >= k:
+                        break
+                    inside ^= low
+                else:
+                    children.append((pos + 1, classes[:i] + (cm | bit,) + classes[i + 1:]))
+            if len(classes) < t:
+                children.append((pos + 1, classes + (bit,)))
+            stack.extend(reversed(children))  # ascending classes pop first
     raise CertificateError("equal-capacity partition bound violated")

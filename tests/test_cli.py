@@ -395,6 +395,12 @@ class TestExitContract:
             "kindep exact: error: argument --out: not allowed with argument --chi")
         assert not out_file.exists()
 
+    def test_gnm_past_pair_limit_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "gen", "--family", "gnm:n=6074001001,m=1,seed=1")
+        assert (code, out) == (2, "")
+        assert err == ("error: n=6074001001 has more than 2**64 vertex pairs,"
+                       " past random_gnm's limit\n")
+
     def test_deep_clique_search_exits_0(self, capsys):
         # Far deeper than the interpreter's recursion limit allows a recursive search.
         code, out, err = run_cli(

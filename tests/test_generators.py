@@ -301,6 +301,12 @@ class TestRandomGnm:
         with pytest.raises(GraphError):
             random_gnm(4, 7, 0)
 
+    def test_more_pairs_than_draws_rejected(self):
+        # The least n with n(n-1)/2 > 2**64: every rejection limit would be
+        # 0, so no draw would ever be kept.
+        with pytest.raises(GraphError, match=r"n=6074001001 .*2\*\*64"):
+            random_gnm(6_074_001_001, 1, 1)
+
 
 def frozen_random_gnm(n, m, seed):
     """random_gnm's former construction: a class-style splitmix64, a

@@ -105,6 +105,12 @@ class TestWitness:
             assert isinstance(ws, WitnessSet) and ws.k == 1
 
 
+def gnm_args(min_n, max_n):
+    """(n, m, seed) arguments of random_gnm with min_n <= n <= max_n."""
+    return st.integers(min_n, max_n).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, n * (n - 1) // 2), st.integers(0, 2**16)))
+
+
 class TestChiExact:
     def test_k4_pairs(self):
         assert chi_k_exact(complete(4), 1) == 2
@@ -185,6 +191,19 @@ class TestChiExact:
     def test_matches_count_from_one(self, corpus100, k):
         for g in corpus100:
             assert chi_k_exact(g, k) == _frozen_chi_k(g, k)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(gnm_args(0, 10), gnm_args(0, 10), st.integers(0, 2))
+    def test_disjoint_union_takes_the_max(self, left, right, k):
+        # A class of G + H is a class of G beside a class of H.
+        g, h = random_gnm(*left), random_gnm(*right)
+        assert chi_k_exact(disjoint_union(g, h), k) == max(chi_k_exact(g, k), chi_k_exact(h, k))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(gnm_args(0, 16), st.integers(0, 2))
+    def test_monotone_in_k(self, case, k):
+        g = random_gnm(*case)
+        assert chi_k_exact(g, k + 1) <= chi_k_exact(g, k)
 
 
 def _frozen_chi_k(g, k):
@@ -478,8 +497,7 @@ class TestAgainstFrozenSearch:
         assert 100 * new[2] < old[2]
 
 
-small_gnm = st.integers(1, 26).flatmap(lambda n: st.tuples(
-    st.just(n), st.integers(0, n * (n - 1) // 2), st.integers(0, 2**16)))
+small_gnm = gnm_args(1, 26)
 
 
 def is_subsequence(short, long):

@@ -135,6 +135,19 @@ def test_one_max_degree_deletion_order():
     assert deg == [], f"_BranchAndBound.search assigns deg on lines {deg}"
 
 
+def test_chi_search_on_class_masks():
+    # chi_k_exact searches on the adjacency masks the alpha search builds,
+    # over immutable tuples of class masks: it reads no neighbour tuples
+    # and keeps no closure of placement options beside the masks.
+    tree = ast.parse((SRC / "oracle.py").read_text(), filename="oracle.py")
+    chi = next(node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "chi_k_exact")
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "_adjacency_masks" in _called_names(chi)
+    assert "neighbors" not in _called_names(chi)
+    assert "options" not in defined
+
+
 def test_algorithm2_makes_one_pass():
     # algorithm2 logs as it walks `_peel` and cuts the log at the best state,
     # so it keeps no list of states to walk a second time.
