@@ -13,7 +13,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .bounds import potential_f, residue_t
-from .graph import CertificateError, Graph, GraphError, WitnessSet, _peel, verify_k_independent
+from .graph import (CertificateError, Graph, GraphError, WitnessSet, _check_k, _peel,
+                    verify_k_independent)
 
 
 class RunTrace:
@@ -186,8 +187,7 @@ def _partition_step(g: Graph, k: int, d: int, trace: RunTrace) -> WitnessSet:
 def lovasz_largest_class(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
     """Largest class of the partition of G into t = ceil((max_degree+1)/(k+1))
     classes of capacity k, which holds at least n / t vertices."""
-    if k < 0:
-        raise GraphError(f"k must be nonnegative, got {k}")
+    _check_k(k)
     trace = RunTrace()
     if g.n == 0:
         return WitnessSet((), k), trace
@@ -201,8 +201,7 @@ def caro_tuza_greedy(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
     sequence); the trace records s(B) after every deletion and the run
     checks it never drops.
     """
-    if k < 0:
-        raise GraphError(f"k must be nonnegative, got {k}")
+    _check_k(k)
     trace = RunTrace()
     if g.n == 0:
         return WitnessSet((), k), trace
@@ -235,8 +234,7 @@ def algorithm1(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
 
     The output size strictly exceeds (k+1) n / (d(G) + 2k + 2).
     """
-    if k < 0:
-        raise GraphError(f"k must be nonnegative, got {k}")
+    _check_k(k)
     trace = RunTrace()
     for v, d, n_alive, sum_deg, _ in _peel(g):
         if d <= -(-sum_deg // n_alive) + k:
@@ -269,8 +267,7 @@ def algorithm2(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
     stopping state lies on the same trajectory and predicts exactly its
     own set size there.
     """
-    if k < 0:
-        raise GraphError(f"k must be nonnegative, got {k}")
+    _check_k(k)
     trace = RunTrace()
     if g.n == 0:
         return WitnessSet((), k), trace

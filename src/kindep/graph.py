@@ -198,13 +198,17 @@ def girth(g: Graph) -> int | float:
     return best
 
 
+def _check_k(k: int) -> None:
+    if k < 0:
+        raise GraphError(f"k must be nonnegative, got {k}")
+
+
 def verify_k_independent(g: Graph, s: Iterable[int], k: int) -> bool:
     """True iff the set induces maximum degree at most k.
 
     Runs in O(sum of degrees over the set).
     """
-    if k < 0:
-        raise GraphError(f"k must be nonnegative, got {k}")
+    _check_k(k)
     sset = set(s)
     for v in sset:
         if not 0 <= v < g.n:

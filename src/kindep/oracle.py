@@ -1,9 +1,9 @@
 """Exact values of alpha_k and chi_k on small graphs.
 
 alpha_k comes from a bitmask branch-and-bound that decomposes by connected
-components, chi_k from a backtracking assignment to class masks; both read
-the same adjacency masks.  Every derived quantity in the package leans on
-these, so they are kept simple enough to audit.
+components, chi_k from a backtracking assignment to class masks; both, and
+the components, read the same adjacency masks.  Every derived quantity in
+the package leans on these, so they are kept simple enough to audit.
 
 Both searches walk explicit stacks of immutable states, so deep searches
 need no recursion and no move is ever undone.
@@ -20,7 +20,7 @@ stack at most n levels deep.
 
 from __future__ import annotations
 
-from .graph import CertificateError, Graph, GraphError, WitnessSet, verify_k_independent
+from .graph import CertificateError, Graph, GraphError, WitnessSet, _check_k, verify_k_independent
 
 DEFAULT_ALPHA_LIMIT = 40
 DEFAULT_CHI_LIMIT = 20
@@ -40,22 +40,24 @@ def _adjacency_masks(g: Graph) -> list[int]:
     return masks
 
 
-def _components(g: Graph) -> list[list[int]]:
-    seen = [False] * g.n
+def _components(masks: list[int]) -> list[list[int]]:
+    """Sorted vertex lists of the components, in order of least vertex."""
     comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        queue, comp = [s], [s]
-        while queue:
-            u = queue.pop()
-            for w in g.neighbors(u):
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-                    comp.append(w)
-        comps.append(comp)
+    rest = (1 << len(masks)) - 1
+    while rest:
+        comp = added = rest & -rest
+        verts = []
+        while added:  # grow by the neighbours of the vertices added last
+            reach = 0
+            while added:
+                bit = added & -added
+                added ^= bit
+                verts.append(bit.bit_length() - 1)
+                reach |= masks[verts[-1]]
+            added = reach & ~comp
+            comp |= added
+        rest &= ~comp
+        comps.append(sorted(verts))
     return comps
 
 
@@ -229,36 +231,35 @@ class _BranchAndBound:
             stack.extend(reversed(children))
 
 
-def alpha_k_exact(
-    g: Graph, k: int, limit: int | None = None
-) -> tuple[int, WitnessSet]:
+def alpha_k_exact(g: Graph, k: int, limit: int | None = None) -> tuple[int, WitnessSet]:
     """Exact k-independence number with a witness set.
 
     Branch-and-bound per connected component with no incumbent, so each
     first record is the deletion greedy's set on the component, which is
     the greedy's set on G restricted to it (see `_BranchAndBound`).
-    The witness is the first maximum set of the remove-a-vertex search
-    order in `_BranchAndBound`; its bounds only skip subtrees holding no
-    better set, so they never change the witness.
+    The witness is the union of each component's first maximum set in the
+    remove-a-vertex search order of `_BranchAndBound`, read off one mask
+    in index order; the bounds only skip subtrees holding no better set,
+    so they never change the witness.
     Refuses graphs larger than `limit` (default 40) rather than silently
     running for hours.  The search never repeats a state, so it keeps no
     memo and its memory is a stack at most n levels deep however long it
     runs.
     """
-    if k < 0:
-        raise GraphError(f"k must be nonnegative, got {k}")
+    _check_k(k)
     eff_limit = DEFAULT_ALPHA_LIMIT if limit is None else limit
     if g.n > eff_limit:
         raise OracleLimitError(f"order n={g.n} exceeds oracle limit {eff_limit}")
     masks = _adjacency_masks(g)
-    chosen: list[int] = []
-    for verts in map(sorted, _components(g)):
+    chosen = 0
+    for verts in _components(masks):
         # A k >= n exceeds every degree, so k = n searches the same states
         # and keeps the search's per-state lists small however large k is.
         bb = _BranchAndBound(masks, min(k, g.n))
         bb.search(verts)
-        chosen += [v for v in verts if bb.best_mask >> v & 1]
-    witness = WitnessSet(tuple(sorted(chosen)), k)
+        chosen |= bb.best_mask
+    # A list: tuple() of a generator resizes as it grows, which raised peak RSS.
+    witness = WitnessSet(tuple([v for v in range(g.n) if chosen >> v & 1]), k)
     if not verify_k_independent(g, witness.vertices, k):
         raise CertificateError("oracle witness is not k-independent")
     return witness.size, witness
@@ -276,13 +277,10 @@ def chi_k_exact(g: Graph, k: int, limit: int | None = None) -> int:
     ceil(|Q| / (k+1)) for a greedy clique Q, since a class meets a clique
     in at most k+1 vertices; every count skipped would have been refuted.
     """
-    if k < 0:
-        raise GraphError(f"k must be nonnegative, got {k}")
+    _check_k(k)
     eff_limit = DEFAULT_CHI_LIMIT if limit is None else limit
     if g.n > eff_limit:
         raise OracleLimitError(f"order n={g.n} exceeds oracle limit {eff_limit}")
-    if g.n == 0:
-        return 0
     masks = _adjacency_masks(g)
     cap = -((g.max_degree() + 1) // -(k + 1))
     order = sorted(range(g.n), key=lambda v: -g.degree(v))

@@ -28,7 +28,7 @@ from kindep.graph import (
     disjoint_union,
     verify_k_independent,
 )
-from kindep.oracle import _components, alpha_k_exact
+from kindep.oracle import _adjacency_masks, _components, alpha_k_exact
 
 from conftest import cycle, induced_subgraph, petersen
 
@@ -288,7 +288,7 @@ class TestDeletionGreedy:
                 g = disjoint_union(random_gnm(n, c * n // 2, 50 + n), random_gnm(n, c * n, 90 + n))
                 for k in range(4):
                     whole = set(caro_tuza_greedy(g, k)[0].vertices)
-                    for comp in _components(g):
+                    for comp in _components(_adjacency_masks(g)):
                         sub, mapping = induced_subgraph(g, comp)
                         alone = [mapping[v] for v in caro_tuza_greedy(sub, k)[0].vertices]
                         assert sorted(whole.intersection(comp)) == alone, (n, c, k)
@@ -525,7 +525,7 @@ class TestPeelTrajectory:
         # record on a component is the greedy's set on G there relies on it.
         g = disjoint_union(*(random_gnm(*case) for case in cases))
         whole = deletions_above(g, k)
-        for comp in _components(g):
+        for comp in _components(_adjacency_masks(g)):
             sub, mapping = induced_subgraph(g, comp)
             inside = set(comp)
             assert [v for v in whole if v in inside] == \

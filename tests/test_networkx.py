@@ -77,5 +77,5 @@ class TestConstructions:
 
     def test_components(self, corpus200):
         for g in corpus200:
-            ours = {frozenset(c) for c in oracle._components(g)}
+            ours = {frozenset(c) for c in oracle._components(oracle._adjacency_masks(g))}
             assert ours == {frozenset(c) for c in nx.connected_components(to_nx(g))}

@@ -111,6 +111,42 @@ def gnm_args(min_n, max_n):
         st.just(n), st.integers(0, n * (n - 1) // 2), st.integers(0, 2**16)))
 
 
+def assert_components(g):
+    """_components on g's masks: sorted lists in increasing order of least
+    vertex that partition range(n), each connected, no edge between two."""
+    comps = oracle._components(oracle._adjacency_masks(g))
+    least = [c[0] for c in comps]
+    assert all(c == sorted(c) for c in comps)
+    assert least == sorted(set(least))
+    assert sorted(v for c in comps for v in c) == list(range(g.n))
+    label = {v: i for i, c in enumerate(comps) for v in c}
+    assert all(label[u] == label[v] for u, v in g.edges())
+    root = list(range(g.n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in g.edges():
+        root[find(u)] = find(v)
+    assert all(len({find(v) for v in c}) == 1 for c in comps)
+
+
+class TestComponents:
+    def test_corpus(self, corpus200):
+        for g in corpus200:
+            assert_components(g)
+
+    def test_many_components(self):
+        assert_components(disjoint_union(random_gnm(9, 4, 1), build(3, []), cycle(5)))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(gnm_args(0, 40))
+    def test_random_gnm_sweep(self, args):
+        assert_components(random_gnm(*args))
+
+
 class TestChiExact:
     def test_k4_pairs(self):
         assert chi_k_exact(complete(4), 1) == 2
@@ -412,7 +448,7 @@ def solve_with(make_search, g, k):
     one component."""
     masks = oracle._adjacency_masks(g)
     chosen, nodes = [], 0
-    for verts in map(sorted, oracle._components(g)):
+    for verts in oracle._components(masks):
         bb = make_search(masks, k)
         _seed(bb, greedy_mask(g, verts, k))
         run(bb, verts)
@@ -453,7 +489,7 @@ def unseeded_runs(search_class, g, k):
     (popped states, nodes, best_size, best_mask)."""
     masks = oracle._adjacency_masks(g)
     runs = []
-    for verts in map(sorted, oracle._components(g)):
+    for verts in oracle._components(masks):
         popped = []
         bb = logged(search_class, popped)(masks, k)
         run(bb, verts)
@@ -563,9 +599,9 @@ class TestTightIncumbent:
                     continue
                 for seed in range(7):
                     g = random_gnm(n, m, seed)
-                    if len(oracle._components(g)) > 1:
-                        continue
                     masks = oracle._adjacency_masks(g)
+                    if len(oracle._components(masks)) > 1:
+                        continue
                     for k in range(3):
                         alpha = alpha_k_bruteforce(g, k)
                         bb = oracle._BranchAndBound(masks, k)
@@ -611,7 +647,7 @@ class TestSearchStates:
         for g in corpus100:
             masks = oracle._adjacency_masks(g)
             for k in range(4):
-                for verts in map(sorted, oracle._components(g)):
+                for verts in oracle._components(masks):
                     bb = oracle._BranchAndBound(masks, k)
                     bb.stack = _RecordStack(bb)
                     bb.search(verts)

@@ -84,3 +84,17 @@ def test_record_is_immutable(text):
             setattr(record, field, None)
     with pytest.raises(AttributeError):
         record.extra = None
+
+
+K_TAKERS = ["verify_k_independent", "caro_tuza_greedy", "algorithm1", "algorithm2",
+            "lovasz_largest_class", "alpha_k_exact", "chi_k_exact"]
+
+
+@pytest.mark.parametrize("name", K_TAKERS)
+def test_negative_k_checked_first(name):
+    # 41 vertices exceed both oracle limits and vertex 41 is not in the
+    # graph, so a check made before the k check would say so instead.
+    g = kindep.build(41, [(0, 1)])
+    args = (g, [41], -1) if name == "verify_k_independent" else (g, -1)
+    with pytest.raises(kindep.GraphError, match=r"^k must be nonnegative, got -1$"):
+        getattr(kindep, name)(*args)

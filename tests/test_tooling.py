@@ -148,6 +148,23 @@ def test_chi_search_on_class_masks():
     assert "options" not in defined
 
 
+def test_oracle_reads_neighbours_only_into_masks():
+    # The component split and both searches read the adjacency masks: only
+    # _adjacency_masks reads neighbour tuples, and _components takes the
+    # masks, not a Graph.
+    tree = ast.parse((SRC / "oracle.py").read_text(), filename="oracle.py")
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def neighbor_calls(node):
+        return [call.lineno for call in ast.walk(node) if isinstance(call, ast.Call)
+                and getattr(call.func, "attr", getattr(call.func, "id", None)) == "neighbors"]
+
+    inside = neighbor_calls(functions["_adjacency_masks"])
+    assert inside and neighbor_calls(tree) == inside
+    params = [(a.arg, ast.unparse(a.annotation)) for a in functions["_components"].args.args]
+    assert params == [("masks", "list[int]")]
+
+
 def test_algorithm2_makes_one_pass():
     # algorithm2 logs as it walks `_peel` and cuts the log at the best state,
     # so it keeps no list of states to walk a second time.
