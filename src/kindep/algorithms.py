@@ -149,9 +149,9 @@ def lovasz_partition(
 ) -> tuple[Partition, RunTrace]:
     """Partition V(G) into classes with induced max degree <= capacity by
     `_partition`; requires sum(k_i + 1) >= max_degree + 1."""
-    caps = tuple(int(c) for c in capacities)
-    if any(c < 0 for c in caps) or not caps:
-        raise GraphError(f"capacities must be nonnegative and nonempty: {caps}")
+    caps = tuple(_check_k(c, "capacity") for c in capacities)
+    if not caps:
+        raise GraphError("capacities must be nonempty")
     if sum(c + 1 for c in caps) < g.max_degree() + 1:
         raise GraphError(
             f"capacity sum {sum(c + 1 for c in caps)} below max degree + 1 "

@@ -116,9 +116,6 @@ class BoundRow(NamedTuple):
     applicable: bool
     note: str = ""
 
-    def value_str(self) -> str:
-        return frac_str(self.value) if self.value is not None else "-"
-
 
 class BoundReport(NamedTuple):
     """Named bound rows for one graph, plus the inputs they were computed from."""
@@ -142,8 +139,8 @@ class BoundReport(NamedTuple):
             "rows": [
                 {
                     "name": r.name,
-                    "value": frac_str(r.value) if r.value is not None else None,
-                    "ceil": math.ceil(r.value) if r.value is not None else None,
+                    "value": frac_str(r.value),
+                    "ceil": math.ceil(r.value),
                     "applicable": r.applicable,
                     "note": r.note,
                 }
@@ -162,9 +159,9 @@ class BoundReport(NamedTuple):
         width = max((len(r.name) for r in self.rows), default=0)
         for r in self.rows:
             flag = "" if r.applicable else "  [not applicable]"
-            ceil = f"  ceil={math.ceil(r.value)}" if r.value is not None and r.applicable else ""
+            ceil = f"  ceil={math.ceil(r.value)}" if r.applicable else ""
             note = f"  ({r.note})" if r.note else ""
-            lines.append(f"{r.name:<{width}}  {r.value_str()}{ceil}{flag}{note}")
+            lines.append(f"{r.name:<{width}}  {frac_str(r.value)}{ceil}{flag}{note}")
         return "\n".join(lines)
 
 
@@ -197,81 +194,56 @@ def bound_report(g: Graph, k: int) -> BoundReport:
     )
 
 
-def _h(r: int) -> int:
-    """h(r) = ((r-1)^{r+3} - 1) / (r-2), the girth threshold helper."""
-    return ((r - 1) ** (r + 3) - 1) // (r - 2)
+def _h_at_most(k: int, bound: int) -> bool:
+    """Whether h(k) = ((k-1)^{k+3} - 1) / (k-2), the girth threshold helper,
+    is at most `bound`, for k >= 3.  h(k) is the sum of (k-1)^i for
+    i = 0..k+2; the terms at least double, so the sum passes `bound` within
+    O(log bound) of them and is never built in full for a large k."""
+    total, term = 0, 1
+    for _ in range(k + 3):
+        total += term
+        if total > bound:
+            return False
+        term *= k - 1
+    return True
+
+
+def _chain_q(d: int) -> int:
+    """The thm14_5 chain parameter max(0, ceil((d-4)/6)) for degree d."""
+    return max(0, -((d - 4) // -6))
 
 
 def f_upper_catalog(k: int, d: int) -> tuple[BoundRow, ...]:
     """The seven catalogued upper bounds on f(k,d), with applicability flags.
 
-    Items 4 and 7 come from a non-constructive existence argument for
-    high-girth regular graphs, so they carry no witness; item 7 only has an
-    existential constant and therefore reports no numeric value at all.
+    A row that does not apply has no value.  Items 4 and 7 come from a
+    non-constructive existence argument for high-girth regular graphs, so
+    they carry no witness; item 7 only has an existential constant and
+    therefore reports no numeric value at all.
     """
     if k < 0 or d < 0:
         raise ValueError(f"k and d must be nonnegative, got k={k}, d={d}")
-    rows = []
-    rows.append(
-        BoundRow(
-            "item1_complete",
-            Fraction(k + 1, d + 1) if d >= k else None,
-            d >= k,
-            "witness K_{d+1}",
-        )
-    )
-    ok2 = d > k and d % 2 == 0 and k % 2 == 1
-    rows.append(
-        BoundRow(
-            "item2_minus_1factor",
-            Fraction(k + 1, d + 2) if ok2 else None,
-            ok2,
-            "witness J_{d+2}",
-        )
-    )
-    rows.append(
-        BoundRow(
-            "item3_minus_cycle",
-            Fraction(k + 2, d + 3) if d > k else None,
-            d > k,
-            "witness K_{d+3} - E(C_{d+3})",
-        )
-    )
-    ok4 = k >= 3 and d >= 2 * _h(k) - k - 1 and (d + k + 1) % 2 == 0
-    rows.append(
-        BoundRow(
-            "item4_high_girth",
-            Fraction(k + 2, d + k + 1) if ok4 else None,
-            ok4,
-            "non-constructive witness (high-girth regular graph)",
-        )
-    )
+    q = _chain_q(d)
     ok5 = k == 2 and d >= 2
-    if ok5:
-        q5 = max(0, -((d - 4) // -6))
-        val5 = Fraction(3 * (q5 + 1), (q5 + 1) * d + q5 + 2)
-        note5 = f"witness thm14_5 with q={q5}"
-    else:
-        q5, val5, note5 = None, None, "needs k=2 and d >= 2"
-    rows.append(BoundRow("item5_k2_chain", val5, ok5, note5))
-    ok6 = k >= 2 and d == 2
-    rows.append(
-        BoundRow(
-            "item6_d2",
-            Fraction((k + 1) ** 2, k * k + 3 * k + 3) if ok6 else None,
-            ok6,
-            "witness thm14_6",
-        )
+    # Every denominator is at least 1 for k, d >= 0, so each value is safe
+    # to compute whether or not its row applies.
+    table = (
+        ("item1_complete", d >= k, Fraction(k + 1, d + 1), "witness K_{d+1}"),
+        ("item2_minus_1factor", d > k and d % 2 == 0 and k % 2 == 1,
+         Fraction(k + 1, d + 2), "witness J_{d+2}"),
+        ("item3_minus_cycle", d > k, Fraction(k + 2, d + 3), "witness K_{d+3} - E(C_{d+3})"),
+        ("item4_high_girth",
+         k >= 3 and (d + k + 1) % 2 == 0 and _h_at_most(k, (d + k + 1) // 2),
+         Fraction(k + 2, d + k + 1), "non-constructive witness (high-girth regular graph)"),
+        ("item5_k2_chain", ok5, Fraction(3 * (q + 1), (q + 1) * d + q + 2),
+         f"witness thm14_5 with q={q}" if ok5 else "needs k=2 and d >= 2"),
+        ("item6_d2", k >= 2 and d == 2, Fraction((k + 1) ** 2, k * k + 3 * k + 3),
+         "witness thm14_6"),
+        ("item7_asymptotic", k >= 3, None,
+         "f(k,d) < (k+2)/(d + c(d/2)^(1/(k+2)) + 1) for an existential c > 0"),
     )
-    rows.append(
-        BoundRow(
-            "item7_asymptotic",
-            None,
-            k >= 3,
-            "f(k,d) < (k+2)/(d + c(d/2)^(1/(k+2)) + 1) for an existential c > 0",
-        )
-    )
-    return tuple(rows)
+    return tuple(BoundRow(name, value if applies else None, applies, note)
+                 for name, applies, value, note in table)
 
 
 class WitnessRatio(NamedTuple):
@@ -338,7 +310,7 @@ def _table_witness(d: int) -> tuple[Graph, str]:
         return generators.thm12_2(2), "thm12_2:2"
     if d == 2:
         return generators.thm14_6(2), "thm14_6:2"
-    q = max(0, -((d - 4) // -6))
+    q = _chain_q(d)
     return generators.thm14_5(d, q), f"thm14_5:d={d},q={q}"
 
 
@@ -355,9 +327,7 @@ def table_f2() -> list[TableRow]:
         lower = f_lower(2, d)
         g, witness_name = _table_witness(d)
         wr = witness_ratio(g, 2, d)
-        formula_vals = [
-            r.value for r in f_upper_catalog(2, d) if r.applicable and r.value is not None
-        ]
+        formula_vals = [r.value for r in f_upper_catalog(2, d) if r.value is not None]
         best_formula = min(formula_vals) if formula_vals else None
         notes = []
         printed_lower, printed_upper = _PRINTED_F2[d]

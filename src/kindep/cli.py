@@ -91,8 +91,8 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     g = _load_source(args)
     report = bounds.bound_report(g, args.k)
     doc = report.to_json_dict()
-    rows = [[r["name"], r["value"] or "-", "" if r["ceil"] is None else r["ceil"],
-             int(r["applicable"]), r["note"]] for r in doc["rows"]]
+    rows = [[r["name"], r["value"], r["ceil"], int(r["applicable"]), r["note"]]
+            for r in doc["rows"]]
     _write(args, doc, report.to_text() + "\n",
            ["name", "value", "ceil", "applicable", "note"], rows, out=args.out)
     return EXIT_OK

@@ -198,9 +198,16 @@ def girth(g: Graph) -> int | float:
     return best
 
 
-def _check_k(k: int) -> None:
+def _check_k(k: int, name: str = "k") -> int:
+    """k as an int; GraphError unless it is a nonnegative integer or
+    int-like (anything `operator.index` accepts)."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise GraphError(f"{name} must be an integer, got {k!r}") from None
     if k < 0:
-        raise GraphError(f"k must be nonnegative, got {k}")
+        raise GraphError(f"{name} must be nonnegative, got {k}")
+    return k
 
 
 def verify_k_independent(g: Graph, s: Iterable[int], k: int) -> bool:

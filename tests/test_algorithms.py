@@ -68,6 +68,11 @@ class TestLovaszPartition:
         with pytest.raises(GraphError):
             lovasz_partition(complete(4), [1, 0])
 
+    @pytest.mark.parametrize("caps", [[1.5] * 4, ["2"] * 3, [1, -1, 2], []])
+    def test_capacities_are_nonnegative_integers(self, caps):
+        with pytest.raises(GraphError, match="^capacit"):
+            lovasz_partition(petersen(), caps)
+
     def test_unequal_capacities(self):
         g = petersen()
         part, trace = lovasz_partition(g, [0, 1, 1])

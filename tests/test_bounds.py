@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -222,10 +224,30 @@ class TestUpperCatalog:
         assert not row.applicable
 
     def test_high_girth_item_threshold(self):
-        ok = next(r for r in f_upper_catalog(3, 122) if r.name == "item4_high_girth")
-        assert ok.applicable and ok.value == Fraction(5, 126)
-        edge = next(r for r in f_upper_catalog(3, 121) if r.name == "item4_high_girth")
-        assert not edge.applicable
+        # Item 4 first applies at d = 2 h(k) - k - 1: h(3) = 64, h(4) = 1093.
+        for k, d, value in [(3, 122, Fraction(5, 126)), (4, 2181, Fraction(3, 1093))]:
+            ok = next(r for r in f_upper_catalog(k, d) if r.name == "item4_high_girth")
+            assert ok.applicable and ok.value == value
+            edge = next(r for r in f_upper_catalog(k, d - 1) if r.name == "item4_high_girth")
+            assert not edge.applicable and edge.value is None
+
+    def test_high_girth_item_for_huge_k(self):
+        # h(k) has about k log k digits; the check stops adding its terms
+        # once they pass d, so a k of ten million costs a few steps.
+        start = time.perf_counter()
+        row = next(r for r in f_upper_catalog(10**7, 5) if r.name == "item4_high_girth")
+        assert time.perf_counter() - start < 1
+        assert not row.applicable and row.value is None
+
+    def test_catalogue_digest(self):
+        # The rows for k = 0..7 and d = 0..300, item 4's first threshold
+        # (3, 122) among them, frozen before the catalogue became one table.
+        digest = hashlib.sha256()
+        for k in range(8):
+            for d in range(301):
+                digest.update(repr(f_upper_catalog(k, d)).encode())
+        assert digest.hexdigest() == (
+            "635ab66ebaaf9eb124a3f53b0b7c963ed7b22bff46095f1ba6a6f88e5c0d85cc")
 
     def test_sandwich_against_lower(self):
         for k in range(7):

@@ -98,3 +98,11 @@ def test_negative_k_checked_first(name):
     args = (g, [41], -1) if name == "verify_k_independent" else (g, -1)
     with pytest.raises(kindep.GraphError, match=r"^k must be nonnegative, got -1$"):
         getattr(kindep, name)(*args)
+
+
+@pytest.mark.parametrize("name", K_TAKERS)
+def test_integer_k_checked_first(name):
+    g = kindep.build(41, [(0, 1)])
+    args = (g, [41], 1.5) if name == "verify_k_independent" else (g, 1.5)
+    with pytest.raises(kindep.GraphError, match=r"^k must be an integer, got 1\.5$"):
+        getattr(kindep, name)(*args)

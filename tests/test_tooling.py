@@ -187,6 +187,25 @@ def test_one_trace_per_run():
                       "lovasz_partition"]
 
 
+def test_bound_catalogue_is_one_table():
+    # f_upper_catalog builds every row through one BoundRow(...) call, the
+    # thm14_5 chain parameter is written once, and bound_report's rows all
+    # have values, so no BoundReport method tests for a missing one.
+    text = (SRC / "bounds.py").read_text()
+    tree = ast.parse(text, filename="bounds.py")
+    catalog = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "f_upper_catalog")
+    report = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "BoundReport")
+    row_calls = [call for call in ast.walk(catalog) if isinstance(call, ast.Call)
+                 and getattr(call.func, "id", None) == "BoundRow"]
+    none_tests = [node.lineno for node in ast.walk(report) if isinstance(node, ast.Compare)
+                  and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)]
+    assert len(row_calls) == 1
+    assert text.count("// -6") == 1
+    assert none_tests == [], f"BoundReport tests is None on lines {none_tests}"
+
+
 # The README's module table, bottom layer first: each module imports only
 # modules listed before it, inside functions too.  `kindep/__init__` imports
 # no submodule.
