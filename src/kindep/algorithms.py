@@ -199,7 +199,9 @@ def caro_tuza_greedy(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
 
     The returned set B satisfies |B| >= ceil(sum of f_k over the degree
     sequence); the trace records s(B) after every deletion and the run
-    checks it never drops.
+    checks it never drops.  The live degrees behind s(B) are replayed along
+    the shared deletion order, and a deleted vertex whose replayed degree
+    is not the one the order records raises CertificateError.
     """
     _check_k(k)
     trace = RunTrace()
@@ -208,18 +210,27 @@ def caro_tuza_greedy(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
 
     # Exact potentials over a common denominator: w[d] = f_k(d) * scale.  A
     # live neighbour of degree x adds drop[x] = w[x-1] - w[x] when it loses
-    # a neighbour; drop[-1] = 0, so a deleted one (degree -1) adds nothing.
+    # a neighbour.
     values = [potential_f(k, d) for d in range(g.max_degree() + 1)]
     trace.scale = math.lcm(*(v.denominator for v in values))
     w = [int(v * trace.scale) for v in values]
-    drop = [0] + [a - b for a, b in zip(w, w[1:])] + [0]
-    s = sum(map(w.__getitem__, g.degrees()))
+    drop = [0] + [a - b for a, b in zip(w, w[1:])]
+    deg = g.degrees()
+    s = sum(map(w.__getitem__, deg))
     trace.numerators.append(s)
 
-    for v, d, _, _, deg in _peel(g):
+    for v, d in zip(*_peel(g)):
         if d <= k:
             break
-        s_new = s - w[d] + sum(map(drop.__getitem__, map(deg.__getitem__, g.neighbors(v))))
+        if deg[v] != d:
+            raise CertificateError(f"vertex {v} has live degree {deg[v]}, the order says {d}")
+        deg[v] = -1
+        s_new = s - w[d]
+        for u in g.neighbors(v):
+            x = deg[u]
+            if x >= 0:
+                s_new += drop[x]
+                deg[u] = x - 1
         if s_new < s:
             raise CertificateError("deletion potential decreased")
         s = s_new
@@ -236,10 +247,13 @@ def algorithm1(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
     """
     _check_k(k)
     trace = RunTrace()
-    for v, d, n_alive, sum_deg, _ in _peel(g):
+    n_alive, sum_deg = g.n, 2 * g.edge_count()
+    for v, d in zip(*_peel(g)):
         if d <= -(-sum_deg // n_alive) + k:
             return _partition_step(g, k, d, trace), trace
         trace.steps.append(("DEL", v, d))
+        n_alive -= 1
+        sum_deg -= 2 * d
     return WitnessSet((), k), trace
 
 
@@ -274,7 +288,8 @@ def algorithm2(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
 
     best = cut = best_d = 0
     round_d: int | None = None
-    for v, deg, n_alive, sum_deg, _ in _peel(g):
+    n_alive, sum_deg = g.n, 2 * g.edge_count()
+    for v, deg in zip(*_peel(g)):
         d = -(-sum_deg // n_alive)
         if round_d is None or d < round_d:
             round_d = d
@@ -286,5 +301,7 @@ def algorithm2(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
         if deg <= k:
             break
         trace.steps.append(("DEL", v, deg))
+        n_alive -= 1
+        sum_deg -= 2 * deg
     del trace.steps[cut:]
     return _partition_step(g, k, best_d, trace), trace

@@ -13,7 +13,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, _check_k
 
 Rat = int | Fraction
 
@@ -28,8 +28,7 @@ def potential_f(k: int, x: Rat) -> Fraction:
 
     Both branches agree at x = k+1 with value 1/2.
     """
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
+    k = _check_k(k)
     x = Fraction(x)
     if x < 0:
         raise ValueError(f"potential undefined for negative x={x}")
@@ -87,8 +86,7 @@ def theorem6_check(g: Graph, p: int, q: int) -> bool:
 
 def residue_t(k: int, d: int) -> int:
     """The unique t in [1, k+1] with d = k+1-t (mod k+1)."""
-    if k < 0 or d < 0:
-        raise ValueError(f"k and d must be nonnegative, got k={k}, d={d}")
+    k, d = _check_k(k), _check_k(d, "d")
     return k + 1 - d % (k + 1)
 
 

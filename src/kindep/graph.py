@@ -32,14 +32,16 @@ class Graph:
     once, as one sorted tuple of neighbors per vertex, so `neighbors`
     iterates in increasing index order and tie-breaking in the algorithms
     built on top is reproducible.  `neighbor_set` builds a fresh frozenset
-    on every call.
+    on every call.  The max-degree deletion order is computed on first use
+    and kept with the graph (see `_peel`).
     """
 
-    __slots__ = ("n", "_adj")
+    __slots__ = ("n", "_adj", "_order")
 
     def __init__(self, adjacency: Iterable[Iterable[int]]):
         self._adj = tuple(tuple(sorted(s)) for s in adjacency)
         self.n = len(self._adj)
+        self._order: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
     # -- queries ---------------------------------------------------------
 
@@ -213,7 +215,9 @@ def _check_k(k: int, name: str = "k") -> int:
 def verify_k_independent(g: Graph, s: Iterable[int], k: int) -> bool:
     """True iff the set induces maximum degree at most k.
 
-    Runs in O(sum of degrees over the set).
+    The check is on the set of the given vertices: one listed twice counts
+    once, so `verify_k_independent(g, [0, 0], 0)` is True.  Runs in
+    O(sum of degrees over the set).
     """
     _check_k(k)
     sset = set(s)
@@ -230,13 +234,16 @@ def verify_k_independent(g: Graph, s: Iterable[int], k: int) -> bool:
     return True
 
 
-def _peel(g: Graph):
-    """The max-degree deletion order of G, smallest index on ties.
+def _peel(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The max-degree deletion order of G, smallest index on ties, as
+    (order, degs): the vertices in the order they are deleted down to the
+    empty graph, and each one's live degree when it was deleted.
 
-    For the state just before each deletion, yields (v, deg, n_alive,
-    sum_deg, live_deg): the vertex deleted next, its live degree, the live
-    vertex count and degree sum, and the live degree list.  live_deg is
-    updated in place; deleted vertices read -1 in it.
+    The first call walks the buckets below and keeps the two tuples on G;
+    later calls return the same tuples.  They are immutable and the same
+    for every k, since the walk runs to the empty graph and each algorithm
+    stops at its own point, and they take no part in equality or hashing.
+    They cost two tuples of n entries for as long as G lives.
 
     Bucket d lists the vertices that reached live degree d, each at most
     once, since degrees only fall.  Levels are scanned from the maximum
@@ -250,8 +257,11 @@ def _peel(g: Graph):
     drops to d' joins bucket d'.  The buckets take at most n + m entries
     in all, so the order costs O(n + m) plus the sort of each level.
     """
+    if g._order is not None:
+        return g._order
     deg = g.degrees()
-    n_alive, sum_deg = g.n, sum(deg)
+    order: list[int] = []
+    degs: list[int] = []
     bucket = [[] for _ in range(max(deg, default=0) + 1)]
     for v, d in enumerate(deg):
         bucket[d].append(v)
@@ -260,12 +270,13 @@ def _peel(g: Graph):
         for v in sorted([u for u in bucket.pop() if deg[u] == d]):
             if deg[v] != d:
                 continue
-            yield v, d, n_alive, sum_deg, deg
-            n_alive -= 1
-            sum_deg -= 2 * d
+            order.append(v)
+            degs.append(d)
             deg[v] = -1
             if d:  # else every neighbour of v is already deleted
-                for u in g.neighbors(v):
+                for u in g._adj[v]:
                     if deg[u] >= 0:
                         deg[u] -= 1
                         bucket[deg[u]].append(u)
+    g._order = (tuple(order), tuple(degs))
+    return g._order

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from kindep.bounds import (caro_tuza_sum, frac_str, main_bound, potential_f, res
                            thm_first_approach_bound)
 from kindep.generators import complete, j_graph, random_gnm, star, thm12_2, thm14_5
 from kindep.graph import (
+    CertificateError,
     GraphError,
     WitnessSet,
     _peel,
@@ -466,25 +468,23 @@ class TestDeletionOrder:
             self.assert_prefixes(g, k)
 
 
-def trajectory(peel, g) -> list[tuple]:
-    """Every state `peel` yields down to the empty graph, live_deg copied."""
-    return [(v, d, n_alive, sum_deg, list(deg)) for v, d, n_alive, sum_deg, deg in peel(g)]
+def naive_order(g) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """`naive_deletion_order`'s (v, deg) sequence in `_peel`'s shape."""
+    pairs = [state[:2] for state in naive_deletion_order(g)]
+    return tuple(v for v, _ in pairs), tuple(d for _, d in pairs)
 
 
-def stopping_live_deg(peel, g, k) -> list[int]:
-    """live_deg where the greedy stops, at the first state of degree <= k
-    (the last vertex has degree 0, so only the empty graph has none)."""
-    return next((list(deg) for _, d, _, _, deg in peel(g) if d <= k), [])
+def stopping_live_deg(g, k) -> list[int]:
+    """live_deg of `naive_deletion_order` where the greedy stops, at the
+    first state of degree <= k (the last vertex has degree 0, so only the
+    empty graph has none)."""
+    return next((list(deg) for _, d, _, _, deg in naive_deletion_order(g) if d <= k), [])
 
 
 def deletions_above(g, k) -> list[int]:
     """The vertices `_peel` deletes before its first of degree <= k."""
-    out = []
-    for v, d, _, _, _ in _peel(g):
-        if d <= k:
-            break
-        out.append(v)
-    return out
+    order, degs = _peel(g)
+    return list(order[:next((i for i, d in enumerate(degs) if d <= k), len(degs))])
 
 
 # (n, m, seed) of a random gnm graph with n up to 30.
@@ -495,9 +495,7 @@ gnm_cases = st.integers(1, 30).flatmap(lambda n: st.tuples(
 class TestPeelTrajectory:
     @staticmethod
     def assert_same(g):
-        assert trajectory(_peel, g) == trajectory(naive_deletion_order, g), g
-        for k in range(4):
-            assert stopping_live_deg(_peel, g, k) == stopping_live_deg(naive_deletion_order, g, k)
+        assert _peel(g) == naive_order(g), g
 
     def test_corpus(self, corpus500):
         for g in corpus500:
@@ -507,7 +505,7 @@ class TestPeelTrajectory:
     def test_edgeless(self, n):
         g = build(n, [])
         self.assert_same(g)
-        assert [s[:2] for s in trajectory(_peel, g)] == [(v, 0) for v in range(n)]
+        assert _peel(g) == (tuple(range(n)), (0,) * n)
 
     @pytest.mark.parametrize(
         "g",
@@ -539,9 +537,53 @@ class TestPeelTrajectory:
     def test_greedy_set_is_live_part_of_stopping_state(self, corpus200):
         for g in corpus200:
             for k in range(4):
-                live = stopping_live_deg(naive_deletion_order, g, k)
+                live = stopping_live_deg(g, k)
                 witness, _ = caro_tuza_greedy(g, k)
                 assert witness.vertices == tuple(v for v, d in enumerate(live) if d >= 0)
+
+
+class TestSharedOrder:
+    """One `Graph` walks its deletion order once, whichever deletion
+    algorithms and k read it, and a run reads the same as on a fresh graph."""
+
+    @pytest.mark.parametrize("make", [lambda: random_gnm(60, 240, 5),
+                                      lambda: copies(3, petersen())], ids=["gnm", "3petersen"])
+    def test_one_walk_for_mixed_calls(self, make):
+        calls = [(algo, k) for k in range(4) for algo in (caro_tuza_greedy, algorithm1, algorithm2)]
+        random.Random(3).shuffle(calls)
+        g, walks = make(), []
+
+        def watching_peel(graph):
+            walks.append(graph._order is None)
+            return _peel(graph)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(algorithms_module, "_peel", watching_peel)
+            runs = [algo(g, k) for algo, k in calls]
+        assert walks == [True] + [False] * (len(calls) - 1)
+        for (algo, k), (witness, trace) in zip(calls, runs):
+            fresh_witness, fresh_trace = algo(make(), k)
+            assert witness == fresh_witness, (algo.__name__, k)
+            assert trace.steps == fresh_trace.steps
+            assert trace.potential_values == fresh_trace.potential_values
+            assert trace.to_log() == fresh_trace.to_log()
+        fresh = make()
+        assert fresh._order is None and g == fresh and hash(g) == hash(fresh)
+
+    def test_cached_tuples_are_returned_again(self):
+        g = random_gnm(30, 60, 1)
+        order = _peel(g)
+        assert type(order[0]) is type(order[1]) is tuple
+        assert _peel(g) is order and g._order is order
+
+    def test_greedy_checks_the_cached_degrees(self):
+        # A cached degree that the greedy's own replay does not reach is a
+        # CertificateError, not a wrong witness.
+        g = star(5)
+        order, degs = _peel(g)
+        g._order = (order, (degs[0] - 1,) + degs[1:])
+        with pytest.raises(CertificateError, match="^vertex 0 has live degree 5, the order says 4$"):
+            caro_tuza_greedy(g, 0)
 
 
 def frozen_partition_step(g, k, steps):
@@ -610,19 +652,31 @@ def frozen_algorithm2(g, k):
     return frozen_partition_step(g, k, steps)
 
 
+class ReadCounter:
+    """An iterable over `items` that counts the items it hands out.  It has
+    no indexing, so a reader has to walk it from the front."""
+
+    def __init__(self, items):
+        self.items, self.read = items, 0
+
+    def __iter__(self):
+        for x in self.items:
+            self.read += 1
+            yield x
+
+
 def states_taken(algo, g, k):
-    """`algo(g, k)` and the number of deletion states it drew from `_peel`."""
-    taken = []
+    """`algo(g, k)` and the number of deletion states it read from `_peel`."""
+    counters = []
 
     def counting_peel(graph):
-        for state in _peel(graph):
-            taken.append(state[0])
-            yield state
+        counters[:] = map(ReadCounter, _peel(graph))
+        return tuple(counters)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(algorithms_module, "_peel", counting_peel)
         result = algo(g, k)
-    return result, len(taken)
+    return result, max((c.read for c in counters), default=0)
 
 
 def assert_algorithm2_same(g, k):

@@ -66,6 +66,20 @@ class TestPotential:
         with pytest.raises(ValueError):
             potential_f(-1, 2)
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda: potential_f(1.5, 1), r"^k must be an integer, got 1\.5$"),
+        (lambda: potential_f(-1, 2), r"^k must be nonnegative, got -1$"),
+        (lambda: residue_t(1.5, 3), r"^k must be an integer, got 1\.5$"),
+        (lambda: residue_t(-1, 3), r"^k must be nonnegative, got -1$"),
+        (lambda: residue_t(1, 1.5), r"^d must be an integer, got 1\.5$"),
+        (lambda: residue_t(1, -1), r"^d must be nonnegative, got -1$"),
+    ], ids=["f-float", "f-negative", "t-float", "t-negative", "t-d-float", "t-d-negative"])
+    def test_k_and_d_checked_as_integers(self, call, message):
+        # The algorithms' own k check: a float k is refused, not answered
+        # with a float.  GraphError is a ValueError.
+        with pytest.raises(GraphError, match=message):
+            call()
+
 
 class TestDegreeSequenceBound:
     def test_clique(self):
@@ -191,6 +205,10 @@ class TestClosedFormBounds:
         for d in range(21):
             for t in range(d + 1):
                 assert 2 * f1_exact(d) <= f1_exact(d - t) + f1_exact(d + t)
+
+    def test_f1_rejects_negative_d(self):
+        with pytest.raises(ValueError, match=r"^d must be nonnegative, got -1$"):
+            f1_exact(-1)
 
     def test_f1_even_floor(self):
         for d in range(25):
@@ -324,6 +342,10 @@ class TestReportSerialization:
     def test_text_contains_ceilings(self):
         text = bound_report(j_graph(6), 1).to_text()
         assert "main_bound" in text and "ceil=2" in text
+
+    def test_empty_graph_rejected(self):
+        with pytest.raises(GraphError, match="^bounds are undefined on the empty graph$"):
+            bound_report(build(0, []), 1)
 
     def test_frac_str(self):
         assert frac_str(Fraction(3, 2)) == "3/2"

@@ -88,6 +88,8 @@ class TestBasicFamilies:
             complete_minus_cycle(2)
         with pytest.raises(GraphError):
             star(-1)
+        with pytest.raises(GraphError, match=r"^n must be nonnegative, got -1$"):
+            complete(-1)
 
 
 class TestWagnerR8:
@@ -149,6 +151,8 @@ class TestChainFamilies:
             thm14_5(11, 1)
         with pytest.raises(GraphError):
             thm14_5(1, 0)
+        with pytest.raises(GraphError, match=r"^thm14_5 needs q >= 0, got -1$"):
+            thm14_5(3, -1)
 
     @pytest.mark.parametrize("d,q", [(2, 0), (3, 0), (4, 0), (5, 1), (8, 1), (10, 1), (16, 2)])
     def test_average_degree_at_most_d(self, d, q):
@@ -443,6 +447,14 @@ class TestFamilySpec:
     def test_parameter_given_twice(self, text, family, param):
         with pytest.raises(GraphError, match=f"family '{family}' gets parameter '{param}' twice"):
             parse_family(text)
+
+    def test_blend_takes_two_specs(self):
+        with pytest.raises(GraphError, match="^blend takes exactly two '\\+'-separated specs$"):
+            parse_family("blend:j:4+complete:3+star:2")
+
+    def test_non_integer_parameter(self):
+        with pytest.raises(GraphError, match=r"^non-integer parameter '2\.5'$"):
+            parse_family("complete:2.5")
 
     @pytest.mark.parametrize("text", ["j:6,7", "gnm:30,60,7"])
     def test_too_many_parameters(self, text):

@@ -207,6 +207,24 @@ class TestVerify:
         with pytest.raises(GraphError):
             verify_k_independent(complete(3), {0}, -1)
 
+    def test_repeated_vertex_counts_once(self):
+        # The check is on the set of the listed vertices: a vertex listed
+        # twice is one member, not adjacent to itself.
+        assert verify_k_independent(complete(2), [0, 0], 0)
+        assert not verify_k_independent(complete(2), [0, 0, 1], 0)
+        assert verify_k_independent(complete(3), [2, 0, 2, 0], 1)
+
+
+class TestValueSemantics:
+    def test_equality_with_another_type(self):
+        g = complete(3)
+        assert g.__eq__((3, g._adj)) is NotImplemented
+        assert g != (3, g._adj) and not g == 3
+
+    def test_repr(self):
+        assert repr(complete(4)) == "Graph(n=4, e=6)"
+        assert repr(build(0, [])) == "Graph(n=0, e=0)"
+
 
 @settings(max_examples=150, deadline=None)
 @given(random_graphs())

@@ -115,10 +115,12 @@ def test_algorithms_partition_without_copying():
 
 
 def test_one_max_degree_deletion_order():
-    # The greedy and Algorithms 1 and 2 walk one deletion order: graph.py
-    # defines `_peel` and algorithms.py imports it.  The oracle's search
-    # makes the same deletions up to its first record by its own branching
-    # rule, so it neither imports `_peel` nor keeps a degree list like it.
+    # The greedy and Algorithms 1 and 2 read one deletion order: graph.py
+    # defines `_peel`, the only bucket walk, which returns the order whole
+    # and keeps it on the Graph, and algorithms.py imports it.  Algorithms 1 and 2 read only the
+    # order and integers, no neighbour tuple.  The oracle's search makes the
+    # same deletions up to its first record by its own branching rule, so it
+    # neither imports `_peel` nor keeps a degree list like it.
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in SRC.glob("*.py")}
     defining = sorted(name for name, tree in trees.items() for node in ast.walk(tree)
@@ -126,12 +128,26 @@ def test_one_max_degree_deletion_order():
     importing = sorted(name for name, tree in trees.items() for node in ast.walk(tree)
                        if isinstance(node, ast.ImportFrom) and node.level == 1
                        and node.module == "graph" and any(a.name == "_peel" for a in node.names))
+    peel = next(node for node in trees["graph.py"].body
+                if isinstance(node, ast.FunctionDef) and node.name == "_peel")
+    walks = sorted(fn.name for tree in trees.values() for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)
+                   if isinstance(node, ast.Name) and "bucket" in node.id
+                   and isinstance(node.ctx, ast.Store))
+    functions = {node.name: node for node in trees["algorithms.py"].body
+                 if isinstance(node, ast.FunctionDef)}
+    reads = [(name, node.lineno) for name in ("algorithm1", "algorithm2")
+             for node in ast.walk(functions[name]) if isinstance(node, ast.Attribute)
+             and node.attr in ("neighbors", "_adj")]
     search = next(fn for cls in ast.walk(trees["oracle.py"])
                   if isinstance(cls, ast.ClassDef) and cls.name == "_BranchAndBound"
                   for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "search")
     deg = [node.lineno for node in ast.walk(search)
            if isinstance(node, ast.Name) and node.id == "deg" and isinstance(node.ctx, ast.Store)]
     assert defining == ["graph.py"] and importing == ["algorithms.py"]
+    assert walks == ["_peel"], f"bucket walks in {walks}"
+    assert not any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in ast.walk(peel))
+    assert reads == [], f"Algorithms 1 and 2 read neighbour tuples at {reads}"
     assert deg == [], f"_BranchAndBound.search assigns deg on lines {deg}"
 
 
