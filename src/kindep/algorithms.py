@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -22,14 +23,15 @@ class RunTrace:
     integer `numerators` over one `scale`: `potential_values` makes them
     Fractions only when read.
 
-    DEL steps name vertices of the input graph, MOVE steps vertices of the
-    partitioned graph: in Algorithms 1 and 2 that is the graph left after
-    the deletions, so a MOVE names a survivor by its rank among them.  A
-    MOVE step stores no potential of its own: MOVE number i (from 0) is
-    followed by `potential_values[i + 1]`.  That holds for every trace,
-    because greedy traces have no MOVEs and Algorithms 1 and 2 take their
-    potentials only from the partition, which records its start value and
-    then one value per move.
+    DEL steps name vertices of the input graph.  A MOVE names the moved
+    vertex by its rank among the vertices partitioned, found by bisection in
+    their sorted list: in Algorithms 1 and 2 those are the survivors of the
+    deletions, elsewhere all of G, where rank and vertex agree.  A MOVE
+    stores no potential of its own: MOVE number i (from 0) is followed by
+    `potential_values[i + 1]`.  That holds for every trace, because greedy
+    traces have no MOVEs and Algorithms 1 and 2 take their potentials only
+    from the partition, which records its start value and then one value
+    per move.
     """
 
     def __init__(self) -> None:
@@ -72,31 +74,37 @@ class Partition(NamedTuple):
         return max(self.classes, key=len)
 
 
-def _partition(adj, caps: tuple[int, ...], trace: RunTrace) -> tuple[tuple[int, ...], ...]:
-    """Lovász's local search on the sorted neighbour lists `adj` over ranks
-    0..len(adj)-1, given sum(k_i + 1) > every degree: start from the
-    round-robin assignment by rank; while some vertex exceeds its class
-    capacity, move the smallest such vertex to the class minimizing
-    deg_class(v)/(k_class + 1), the lowest on ties.  The potential sum of
-    e(class)/(k_class+1) drops by at least 1/lcm(k_i+1) per move, so the
-    loop ends.  own[v] counts v's neighbours in its own class; a vertex
-    about to move counts them in every class.  `trace` holds no potentials
-    yet: the search sets its scale, then logs the start potential and each
-    MOVE with its own.
+def _partition(adj, members, caps: tuple[int, ...],
+               trace: RunTrace) -> tuple[tuple[int, ...], ...]:
+    """Lovász's local search on the subgraph of the sorted neighbour lists
+    `adj` induced by `members`, a sorted sequence of vertices, given
+    sum(k_i + 1) > every degree there: start from the round-robin
+    assignment by rank, members[r] in class r mod t; while some vertex
+    exceeds its class capacity, move the smallest such vertex (also the
+    smallest rank) to the class minimizing deg_class(v)/(k_class + 1), the
+    lowest on ties.  The potential sum of e(class)/(k_class+1) drops by at
+    least 1/lcm(k_i+1) per move, so the loop ends.  cls[u] is -1 for u
+    outside `members`, which a move's row counts in a spare last slot.
+    own[v] counts v's neighbours in its own class; a vertex about to move
+    counts them in every class.  `trace` holds no potentials yet: the
+    search sets its scale, then logs the start potential and each MOVE,
+    named by v's rank, with its own.  The classes are in `adj`'s vertices.
     """
     t = len(caps)
-    cls = [v % t for v in range(len(adj))]
+    cls = [-1] * len(adj)
+    for r, v in enumerate(members):
+        cls[v] = r % t
     trace.scale = math.lcm(*(c + 1 for c in caps))
     weight = [trace.scale // (c + 1) for c in caps]
     # A heap that may hold stale entries: every violating vertex has one, so
     # the first popped entry that still violates is the smallest violator.
-    own, heap, phi = [], [], 0
-    for v, nbrs in enumerate(adj):
+    own, heap, phi = [0] * len(adj), [], 0
+    for v in members:
         c, x = cls[v], 0
-        for u in nbrs:
+        for u in adj[v]:
             if cls[u] == c:
                 x += 1
-        own.append(x)
+        own[v] = x
         phi += x * weight[c]
         if x > caps[c]:
             heap.append(v)
@@ -107,7 +115,7 @@ def _partition(adj, caps: tuple[int, ...], trace: RunTrace) -> tuple[tuple[int, 
         i = cls[v]
         if own[v] <= caps[i]:
             continue
-        row = [0] * t
+        row = [0] * (t + 1)
         for u in adj[v]:
             row[cls[u]] += 1
         scaled = [r * w for r, w in zip(row, weight)]
@@ -129,12 +137,12 @@ def _partition(adj, caps: tuple[int, ...], trace: RunTrace) -> tuple[tuple[int, 
                 own[u] += 1
                 if own[u] > caps[j]:
                     heapq.heappush(heap, u)
-        trace.steps.append(("MOVE", v, i, j))
+        trace.steps.append(("MOVE", bisect_left(members, v), i, j))
         trace.numerators.append(phi)
 
     classes = [[] for _ in range(t)]
-    for v, c in enumerate(cls):
-        classes[c].append(v)
+    for v in members:
+        classes[cls[v]].append(v)
     return tuple(map(tuple, classes))
 
 
@@ -158,27 +166,17 @@ def lovasz_partition(
             f"= {g.max_degree() + 1}"
         )
     trace = RunTrace()
-    classes = _partition(g._adj, caps, trace)
+    classes = _partition(g._adj, range(g.n), caps, trace)
     _check_classes(g, classes, caps)
     return Partition(classes, caps), trace
 
 
-def _partition_step(g: Graph, k: int, d: int, trace: RunTrace) -> WitnessSet:
-    """Partition the survivors of the trace's DEL steps, of max degree d, by
-    rank into ceil((d+1)/(k+1)) classes of capacity k; log it in the trace,
-    check each class on G and return the largest, in G's vertices."""
-    rank = [0] * g.n
-    for step in trace.steps:
-        if step[0] == "DEL":
-            rank[step[1]] = -1
-    survivors = [v for v, r in enumerate(rank) if r == 0]
-    adj = g._adj
-    if len(survivors) < g.n:
-        for r, v in enumerate(survivors):
-            rank[v] = r
-        adj = [[rank[u] for u in adj[v] if rank[u] >= 0] for v in survivors]
+def _partition_step(g: Graph, k: int, survivors, d: int, trace: RunTrace) -> WitnessSet:
+    """Partition `survivors`, vertices of G inducing max degree d, into
+    ceil((d+1)/(k+1)) classes of capacity k, ranked in index order; log it
+    in the trace, check each class on G and return the largest."""
     caps = (k,) * -((d + 1) // -(k + 1))
-    classes = [tuple(map(survivors.__getitem__, c)) for c in _partition(adj, caps, trace)]
+    classes = _partition(g._adj, sorted(survivors), caps, trace)
     _check_classes(g, classes, caps)
     trace.steps.append(("PARTITION", len(caps)))
     return WitnessSet(max(classes, key=len), k)
@@ -191,7 +189,7 @@ def lovasz_largest_class(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
     trace = RunTrace()
     if g.n == 0:
         return WitnessSet((), k), trace
-    return _partition_step(g, k, g.max_degree(), trace), trace
+    return _partition_step(g, k, range(g.n), g.max_degree(), trace), trace
 
 
 def caro_tuza_greedy(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
@@ -247,10 +245,11 @@ def algorithm1(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
     """
     _check_k(k)
     trace = RunTrace()
+    order, degs = _peel(g)
     n_alive, sum_deg = g.n, 2 * g.edge_count()
-    for v, d in zip(*_peel(g)):
+    for i, (v, d) in enumerate(zip(order, degs)):
         if d <= -(-sum_deg // n_alive) + k:
-            return _partition_step(g, k, d, trace), trace
+            return _partition_step(g, k, order[i:], d, trace), trace
         trace.steps.append(("DEL", v, d))
         n_alive -= 1
         sum_deg -= 2 * d
@@ -286,10 +285,11 @@ def algorithm2(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
     if g.n == 0:
         return WitnessSet((), k), trace
 
-    best = cut = best_d = 0
+    best = cut = best_i = 0
     round_d: int | None = None
+    order, degs = _peel(g)
     n_alive, sum_deg = g.n, 2 * g.edge_count()
-    for v, deg in zip(*_peel(g)):
+    for i, (v, deg) in enumerate(zip(order, degs)):
         d = -(-sum_deg // n_alive)
         if round_d is None or d < round_d:
             round_d = d
@@ -297,11 +297,11 @@ def algorithm2(g: Graph, k: int) -> tuple[WitnessSet, RunTrace]:
             trace.steps.append(("RESTART", d, t, -(-n_alive // (d + 2 * t + 1))))
         predicted = -(-n_alive // -((deg + 1) // -(k + 1)))
         if predicted > best:
-            best, cut, best_d = predicted, len(trace.steps), deg
+            best, cut, best_i = predicted, len(trace.steps), i
         if deg <= k:
             break
         trace.steps.append(("DEL", v, deg))
         n_alive -= 1
         sum_deg -= 2 * deg
     del trace.steps[cut:]
-    return _partition_step(g, k, best_d, trace), trace
+    return _partition_step(g, k, order[best_i:], degs[best_i], trace), trace

@@ -31,7 +31,7 @@ def potential_f(k: int, x: Rat) -> Fraction:
     k = _check_k(k)
     x = Fraction(x)
     if x < 0:
-        raise ValueError(f"potential undefined for negative x={x}")
+        raise GraphError(f"potential undefined for negative x={x}")
     if x <= k + 1:
         return 1 - x / (2 * (k + 1))
     return Fraction(k + 2, 2) / (x + 1)
@@ -39,6 +39,7 @@ def potential_f(k: int, x: Rat) -> Fraction:
 
 def caro_tuza_sum(g: Graph, k: int) -> Fraction:
     """Degree-sequence lower bound on alpha_k: the sum of f_k over degrees."""
+    k = _check_k(k)
     return sum((c * potential_f(k, d) for d, c in Counter(g.degrees()).items()), Fraction(0))
 
 
@@ -50,11 +51,13 @@ def corollary_avg(g: Graph, k: int) -> Fraction:
 def corollary_halfbound(g: Graph, k: int) -> Fraction:
     """(k+2) n / (2(d+1)).  Valid as a bound only when d(G) >= k+1; the
     caller flags applicability, this just evaluates the formula."""
+    k = _check_k(k)
     return Fraction(k + 2) * g.n / (2 * (g.avg_degree() + 1))
 
 
 def hopkins_staton(g: Graph, k: int) -> Fraction:
     """n divided by ceil((max degree + 1)/(k+1))."""
+    k = _check_k(k)
     if g.n == 0:
         raise GraphError("bound undefined on the empty graph")
     t = -((g.max_degree() + 1) // -(k + 1))
@@ -63,11 +66,13 @@ def hopkins_staton(g: Graph, k: int) -> Fraction:
 
 def thm_first_approach_bound(g: Graph, k: int) -> Fraction:
     """(k+1) n / (d + 2k + 2); alpha_k strictly exceeds this."""
+    k = _check_k(k)
     return Fraction(k + 1) * g.n / (g.avg_degree() + 2 * k + 2)
 
 
 def main_bound(g: Graph, k: int) -> Fraction:
     """(k+1) n / (ceil(d) + k + 1), the strongest general lower bound here."""
+    k = _check_k(k)
     d_up = math.ceil(g.avg_degree())
     return Fraction((k + 1) * g.n, d_up + k + 1)
 
@@ -75,7 +80,7 @@ def main_bound(g: Graph, k: int) -> Fraction:
 def theorem6_check(g: Graph, p: int, q: int) -> bool:
     """Check alpha_q <= ceil((q+1)/(p+1)) * alpha_p with oracle-exact values."""
     if not 0 <= p <= q:
-        raise ValueError(f"need 0 <= p <= q, got p={p}, q={q}")
+        raise GraphError(f"need 0 <= p <= q, got p={p}, q={q}")
     from .oracle import alpha_k_exact
 
     alpha_p, _ = alpha_k_exact(g, p)
@@ -98,8 +103,7 @@ def f_lower(k: int, d: int) -> Fraction:
 
 def f1_exact(d: int) -> Fraction:
     """Exact infimum ratio for 1-independence at average degree up to d."""
-    if d < 0:
-        raise ValueError(f"d must be nonnegative, got {d}")
+    d = _check_k(d, "d")
     if d % 2 == 0:
         return Fraction(2, d + 2)
     return Fraction(2 * (d + 2), (d + 1) * (d + 3))
@@ -219,8 +223,7 @@ def f_upper_catalog(k: int, d: int) -> tuple[BoundRow, ...]:
     they carry no witness; item 7 only has an existential constant and
     therefore reports no numeric value at all.
     """
-    if k < 0 or d < 0:
-        raise ValueError(f"k and d must be nonnegative, got k={k}, d={d}")
+    k, d = _check_k(k), _check_k(d, "d")
     q = _chain_q(d)
     ok5 = k == 2 and d >= 2
     # Every denominator is at least 1 for k, d >= 0, so each value is safe

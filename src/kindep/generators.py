@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graph import Graph, GraphError, build, copies, disjoint_union
+from .graph import Graph, GraphError, _check_int, _check_k, build, copies, disjoint_union
 
 _MASK64 = (1 << 64) - 1
 
@@ -30,8 +30,7 @@ def _splitmix64(seed: int):
 
 
 def complete(n: int) -> Graph:
-    if n < 0:
-        raise GraphError(f"n must be nonnegative, got {n}")
+    n = _check_k(n, "n")
     return build(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
@@ -116,8 +115,7 @@ def random_gnm(n: int, m: int, seed: int) -> Graph:
     uniform on [0, j].  As 2**64 % (j + 1) <= j <= total - 1, every draw
     below sure = 2**64 - total is under that limit and is kept untested.
     """
-    if n < 0:
-        raise GraphError(f"n must be nonnegative, got {n}")
+    n, m, seed = _check_k(n, "n"), _check_int(m, "m"), _check_int(seed, "seed")
     total = n * (n - 1) // 2
     if not 0 <= m <= total:
         raise GraphError(f"m={m} out of range [0, {total}] for n={n}")

@@ -109,10 +109,9 @@ def build(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
     Adjacency is one list per vertex, each edge checked once as it is added.
     Duplicate edges collapse; self-loops and out-of-range indices raise
-    GraphError.
+    GraphError, as does a vertex count that is not a nonnegative integer.
     """
-    if n < 0:
-        raise GraphError(f"vertex count must be nonnegative, got {n}")
+    n = _check_k(n, "vertex count")
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         try:
@@ -200,13 +199,19 @@ def girth(g: Graph) -> int | float:
     return best
 
 
-def _check_k(k: int, name: str = "k") -> int:
-    """k as an int; GraphError unless it is a nonnegative integer or
-    int-like (anything `operator.index` accepts)."""
+def _check_int(x: int, name: str) -> int:
+    """x as an int; GraphError unless it is an integer or int-like
+    (anything `operator.index` accepts)."""
     try:
-        k = operator.index(k)
+        return operator.index(x)
     except TypeError:
-        raise GraphError(f"{name} must be an integer, got {k!r}") from None
+        raise GraphError(f"{name} must be an integer, got {x!r}") from None
+
+
+def _check_k(k: int, name: str = "k") -> int:
+    """k as an int; GraphError unless `_check_int` accepts it and it is
+    nonnegative."""
+    k = _check_int(k, name)
     if k < 0:
         raise GraphError(f"{name} must be nonnegative, got {k}")
     return k

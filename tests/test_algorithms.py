@@ -653,8 +653,10 @@ def frozen_algorithm2(g, k):
 
 
 class ReadCounter:
-    """An iterable over `items` that counts the items it hands out.  It has
-    no indexing, so a reader has to walk it from the front."""
+    """An iterable over `items` that counts the items it hands out.  A reader
+    has to walk it from the front: an index or a slice must start at an
+    item already walked, and is not counted, so the survivors' slice that
+    starts where the walk stopped is allowed, but no read starts past it."""
 
     def __init__(self, items):
         self.items, self.read = items, 0
@@ -663,6 +665,11 @@ class ReadCounter:
         for x in self.items:
             self.read += 1
             yield x
+
+    def __getitem__(self, key):
+        start = key.start or 0 if isinstance(key, slice) else key
+        assert 0 <= start < self.read, f"read from {start} after walking {self.read}"
+        return self.items[key]
 
 
 def states_taken(algo, g, k):

@@ -61,9 +61,9 @@ class TestPotential:
         assert potential_f(1, Fraction(12, 7)) == 1 - Fraction(12, 7) / 4
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(GraphError, match=r"^potential undefined for negative x=-1$"):
             potential_f(2, -1)
-        with pytest.raises(ValueError):
+        with pytest.raises(GraphError):
             potential_f(-1, 2)
 
     @pytest.mark.parametrize("call,message", [
@@ -140,7 +140,7 @@ class TestRatioTheorem:
                     assert theorem6_check(g, p, q)
 
     def test_rejects_bad_order(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(GraphError, match=r"^need 0 <= p <= q, got p=2, q=1$"):
             theorem6_check(cycle(5), 2, 1)
 
 
@@ -156,6 +156,11 @@ class TestClosedFormBounds:
             g = complete(d + 1)
             alpha, _ = alpha_k_exact(g, k)
             assert alpha >= main_bound(g, k)
+
+    def test_degree_sum_checks_k_on_the_empty_graph(self):
+        # The empty sum calls no potential_f, so it used to answer 0.
+        with pytest.raises(GraphError, match=r"^k must be nonnegative, got -1$"):
+            caro_tuza_sum(build(0, []), -1)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 14), st.integers(0, 50), st.integers(0, 3),
@@ -207,7 +212,7 @@ class TestClosedFormBounds:
                 assert 2 * f1_exact(d) <= f1_exact(d - t) + f1_exact(d + t)
 
     def test_f1_rejects_negative_d(self):
-        with pytest.raises(ValueError, match=r"^d must be nonnegative, got -1$"):
+        with pytest.raises(GraphError, match=r"^d must be nonnegative, got -1$"):
             f1_exact(-1)
 
     def test_f1_even_floor(self):
@@ -256,6 +261,16 @@ class TestUpperCatalog:
         row = next(r for r in f_upper_catalog(10**7, 5) if r.name == "item4_high_girth")
         assert time.perf_counter() - start < 1
         assert not row.applicable and row.value is None
+
+    @pytest.mark.parametrize("k,d,message", [
+        (1.5, 3, r"^k must be an integer, got 1\.5$"),
+        (-1, 3, r"^k must be nonnegative, got -1$"),
+        (2, 2.5, r"^d must be an integer, got 2\.5$"),
+        (2, -1, r"^d must be nonnegative, got -1$"),
+    ], ids=["k-float", "k-negative", "d-float", "d-negative"])
+    def test_k_and_d_checked(self, k, d, message):
+        with pytest.raises(GraphError, match=message):
+            f_upper_catalog(k, d)
 
     def test_catalogue_digest(self):
         # The rows for k = 0..7 and d = 0..300, item 4's first threshold

@@ -91,6 +91,17 @@ class TestBasicFamilies:
         with pytest.raises(GraphError, match=r"^n must be nonnegative, got -1$"):
             complete(-1)
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda: complete(1.5), r"^n must be an integer, got 1\.5$"),
+        (lambda: random_gnm(3.5, 1, 1), r"^n must be an integer, got 3\.5$"),
+        (lambda: random_gnm(3, 1.5, 1), r"^m must be an integer, got 1\.5$"),
+        (lambda: random_gnm(3, 1, 1.5), r"^seed must be an integer, got 1\.5$"),
+    ], ids=["complete", "gnm-n", "gnm-m", "gnm-seed"])
+    def test_integer_parameters(self, call, message):
+        # Each used to die in a TypeError from range() or the PRNG.
+        with pytest.raises(GraphError, match=message):
+            call()
+
 
 class TestWagnerR8:
     def test_shape(self):

@@ -69,8 +69,13 @@ class TestBuild:
             build(3, [(0, 3)])
 
     def test_negative_order_rejected(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match=r"^vertex count must be nonnegative, got -1$"):
             build(-1, [])
+
+    def test_non_integer_order_rejected(self):
+        # It used to die in a TypeError from range().
+        with pytest.raises(GraphError, match=r"^vertex count must be an integer, got 2\.5$"):
+            build(2.5, [])
 
     @pytest.mark.parametrize("edges,message", [
         ([(-1, 0)], "edge (-1, 0) out of range for n=3"),

@@ -87,7 +87,9 @@ def test_record_is_immutable(text):
 
 
 K_TAKERS = ["verify_k_independent", "caro_tuza_greedy", "algorithm1", "algorithm2",
-            "lovasz_largest_class", "alpha_k_exact", "chi_k_exact"]
+            "lovasz_largest_class", "alpha_k_exact", "chi_k_exact", "caro_tuza_sum",
+            "corollary_avg", "corollary_halfbound", "hopkins_staton", "thm_first_approach_bound",
+            "main_bound", "bound_report"]
 
 
 @pytest.mark.parametrize("name", K_TAKERS)

@@ -105,13 +105,57 @@ def test_one_prng_definition():
     assert names & {"SplitMix64", "_pair_decode"} == set()
 
 
+def _is_adjacency(node, names):
+    return (isinstance(node, ast.Attribute) and node.attr == "_adj"
+            or isinstance(node, ast.Name) and node.id in names)
+
+
+def _reads_adjacency(node, names):
+    """Whether `node` is the adjacency, or reads a neighbour tuple of it or
+    through neighbors(); `names` are the local names bound to it."""
+    return _is_adjacency(node, names) or any(
+        isinstance(sub, ast.Subscript) and _is_adjacency(sub.value, names)
+        or isinstance(sub, ast.Call) and getattr(sub.func, "attr", None) == "neighbors"
+        for sub in ast.walk(node))
+
+
 def test_algorithms_partition_without_copying():
-    # Algorithms 1 and 2 partition the survivors in rank space, so nothing in
-    # algorithms.py builds a new graph, through Graph(...) or build(...).
+    # Algorithms 1 and 2 partition their survivors on the input graph's own
+    # adjacency, so nothing in algorithms.py builds a new graph, through
+    # Graph(...) or build(...), or a list, set or tuple from neighbour
+    # tuples: no comprehension or list/tuple/set/sorted/map call reads
+    # `_adj`, `neighbors` or a name bound to them.  `_partition_step` takes
+    # its survivors from the caller: it uses the trace's `steps` only to
+    # append the PARTITION step.
     tree = ast.parse((SRC / "algorithms.py").read_text(), filename="algorithms.py")
     calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
              and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("Graph", "build")]
+    copies = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        aliases = {"adj"} | {target.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                             and _is_adjacency(node.value, ()) for target in node.targets
+                             if isinstance(target, ast.Name)}
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+                sources = [gen.iter for gen in node.generators]
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
+                    "list", "tuple", "set", "sorted", "map"):
+                sources = node.args
+            else:
+                continue
+            if any(_reads_adjacency(src, aliases) for src in sources):
+                copies.append(f"{fn.name} (line {node.lineno})")
+    step = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_partition_step")
+    steps = {id(node) for node in ast.walk(step)
+             if isinstance(node, ast.Attribute) and node.attr == "steps"}
+    appended = {id(call.func.value) for call in ast.walk(step) if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute) and call.func.attr == "append"}
     assert calls == [], f"algorithms.py builds a Graph on lines {calls}"
+    assert copies == [], f"neighbour tuples copied in {copies}"
+    assert steps and steps <= appended, "_partition_step reads the trace's steps"
 
 
 def test_one_max_degree_deletion_order():
@@ -201,6 +245,15 @@ def test_one_trace_per_run():
                     and getattr(node.func, "id", None) == "RunTrace")
     assert makers == ["algorithm1", "algorithm2", "caro_tuza_greedy", "lovasz_largest_class",
                       "lovasz_partition"]
+
+
+def test_bounds_raise_graph_errors():
+    # Bad input to a bound is a GraphError, like bad input to a graph or an
+    # algorithm, never a bare ValueError.
+    tree = ast.parse((SRC / "bounds.py").read_text(), filename="bounds.py")
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise)
+             and "ValueError" in ast.unparse(node.exc)]
+    assert lines == [], f"bounds.py raises ValueError on lines {lines}"
 
 
 def test_bound_catalogue_is_one_table():
