@@ -74,31 +74,32 @@ class Partition(NamedTuple):
         return max(self.classes, key=len)
 
 
-def _partition(adj, members, caps: tuple[int, ...],
+def _partition(g: Graph, members, caps: tuple[int, ...],
                trace: RunTrace) -> tuple[tuple[int, ...], ...]:
-    """Lovász's local search on the subgraph of the sorted neighbour lists
-    `adj` induced by `members`, a sorted sequence of vertices, given
-    sum(k_i + 1) > every degree there: start from the round-robin
-    assignment by rank, members[r] in class r mod t; while some vertex
-    exceeds its class capacity, move the smallest such vertex (also the
-    smallest rank) to the class minimizing deg_class(v)/(k_class + 1), the
-    lowest on ties.  The potential sum of e(class)/(k_class+1) drops by at
-    least 1/lcm(k_i+1) per move, so the loop ends.  cls[u] is -1 for u
-    outside `members`, which a move's row counts in a spare last slot.
-    own[v] counts v's neighbours in its own class; a vertex about to move
-    counts them in every class.  `trace` holds no potentials yet: the
-    search sets its scale, then logs the start potential and each MOVE,
-    named by v's rank, with its own.  The classes are in `adj`'s vertices.
+    """Lovász's local search on the subgraph of G induced by `members`, a
+    sorted sequence of vertices, given sum(k_i + 1) > every degree there:
+    start from the round-robin assignment by rank, members[r] in class
+    r mod t; while some vertex exceeds its class capacity, move the
+    smallest such vertex (also the smallest rank) to the class minimizing
+    deg_class(v)/(k_class + 1), the lowest on ties.  The potential sum of
+    e(class)/(k_class+1) drops by at least 1/lcm(k_i+1) per move, so the
+    loop ends.  cls[u] is -1 for u outside `members`, which a move's row
+    counts in a spare last slot.  own[v] counts v's neighbours in its own
+    class; a vertex about to move counts them in every class.  `trace`
+    holds no potentials yet: the search sets its scale, then logs the
+    start potential and each MOVE, named by v's rank, with its own.  Each
+    class, in G's vertices, is checked on G before it is returned.
     """
+    adj = g._adj
     t = len(caps)
-    cls = [-1] * len(adj)
+    cls = [-1] * g.n
     for r, v in enumerate(members):
         cls[v] = r % t
     trace.scale = math.lcm(*(c + 1 for c in caps))
     weight = [trace.scale // (c + 1) for c in caps]
     # A heap that may hold stale entries: every violating vertex has one, so
     # the first popped entry that still violates is the smallest violator.
-    own, heap, phi = [0] * len(adj), [], 0
+    own, heap, phi = [0] * g.n, [], 0
     for v in members:
         c, x = cls[v], 0
         for u in adj[v]:
@@ -143,13 +144,10 @@ def _partition(adj, members, caps: tuple[int, ...],
     classes = [[] for _ in range(t)]
     for v in members:
         classes[cls[v]].append(v)
-    return tuple(map(tuple, classes))
-
-
-def _check_classes(g: Graph, classes, caps) -> None:
     for c, cap in zip(classes, caps):
         if not verify_k_independent(g, c, cap):
             raise CertificateError(f"a partition class exceeds its capacity {cap}")
+    return tuple(map(tuple, classes))
 
 
 def lovasz_partition(
@@ -166,8 +164,7 @@ def lovasz_partition(
             f"= {g.max_degree() + 1}"
         )
     trace = RunTrace()
-    classes = _partition(g._adj, range(g.n), caps, trace)
-    _check_classes(g, classes, caps)
+    classes = _partition(g, range(g.n), caps, trace)
     return Partition(classes, caps), trace
 
 
@@ -176,8 +173,7 @@ def _partition_step(g: Graph, k: int, survivors, d: int, trace: RunTrace) -> Wit
     ceil((d+1)/(k+1)) classes of capacity k, ranked in index order; log it
     in the trace, check each class on G and return the largest."""
     caps = (k,) * -((d + 1) // -(k + 1))
-    classes = _partition(g._adj, sorted(survivors), caps, trace)
-    _check_classes(g, classes, caps)
+    classes = _partition(g, sorted(survivors), caps, trace)
     trace.steps.append(("PARTITION", len(caps)))
     return WitnessSet(max(classes, key=len), k)
 

@@ -13,7 +13,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-from .graph import Graph, GraphError, _check_k
+from .graph import Graph, GraphError, _check_int, _check_k
 
 Rat = int | Fraction
 
@@ -26,10 +26,10 @@ def frac_str(x: Fraction) -> str:
 def potential_f(k: int, x: Rat) -> Fraction:
     """The degree potential: 1 - x/(2(k+1)) up to x=k+1, then (k+2)/(2(x+1)).
 
-    Both branches agree at x = k+1 with value 1/2.
+    Both branches agree at x = k+1 with value 1/2.  x is an int or a Fraction.
     """
     k = _check_k(k)
-    x = Fraction(x)
+    x = x if isinstance(x, Fraction) else Fraction(_check_int(x, "non-Fraction x"))
     if x < 0:
         raise GraphError(f"potential undefined for negative x={x}")
     if x <= k + 1:
@@ -79,7 +79,7 @@ def main_bound(g: Graph, k: int) -> Fraction:
 
 def theorem6_check(g: Graph, p: int, q: int) -> bool:
     """Check alpha_q <= ceil((q+1)/(p+1)) * alpha_p with oracle-exact values."""
-    if not 0 <= p <= q:
+    if not 0 <= _check_int(p, "p") <= _check_int(q, "q"):
         raise GraphError(f"need 0 <= p <= q, got p={p}, q={q}")
     from .oracle import alpha_k_exact
 
@@ -172,7 +172,7 @@ def bound_report(g: Graph, k: int) -> BoundReport:
     if g.n == 0:
         raise GraphError("bounds are undefined on the empty graph")
     d = g.avg_degree()
-    half_ok = d >= k + 1
+    half_ok = d >= _check_k(k) + 1
     rows = (
         BoundRow("caro_tuza_sum", caro_tuza_sum(g, k), True),
         BoundRow("corollary_avg", corollary_avg(g, k), True),
@@ -264,7 +264,7 @@ def witness_ratio(g: Graph, k: int, d: int) -> WitnessRatio:
     """
     if g.n == 0:
         raise GraphError("witness graph must be nonempty")
-    if g.avg_degree() > d:
+    if g.avg_degree() > _check_k(d, "d"):
         raise GraphError(
             f"witness has average degree {frac_str(g.avg_degree())} > d={d}"
         )

@@ -110,8 +110,6 @@ _ALGOS = {
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from fractions import Fraction
-
     from . import algorithms, bounds
     from .bounds import frac_str
 
@@ -119,7 +117,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     algo_name, bound_name, strict = _ALGOS[args.algo]
     strict = strict and g.n > 0  # with no vertices every guarantee is >= 0
     witness, trace = getattr(algorithms, algo_name)(g, args.k)
-    guarantee = getattr(bounds, bound_name)(g, args.k) if g.n else Fraction(0)
+    guarantee = getattr(bounds, bound_name)(g, args.k) if g.n else 0
     needed = None if strict else math.ceil(guarantee)
     ok_bound = witness.size > guarantee if strict else witness.size >= needed
     ok_verify = verify_k_independent(g, witness.vertices, args.k)
@@ -223,13 +221,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         first = bounds.thm_first_approach_bound(g, args.k)
         main_b = bounds.main_bound(g, args.k)
         witness, _ = algorithms.algorithm2(g, args.k)
-        limit = args.limit if args.limit is not None else oracle.DEFAULT_ALPHA_LIMIT
-        if g.n <= limit:
-            alpha, _ = oracle.alpha_k_exact(g, args.k, limit=limit)
-            alpha_cell: int | str = alpha
+        try:
+            alpha, _ = oracle.alpha_k_exact(g, args.k, limit=args.limit)
             ratios.append((Fraction(witness.size, alpha), ct / alpha, main_b / alpha))
-        else:
-            alpha_cell = ""
+        except oracle.OracleLimitError:
+            alpha = ""  # past the oracle's cap: the alpha cell stays empty
         rows.append(
             [
                 i,
@@ -241,7 +237,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 frac_str(first),
                 frac_str(main_b),
                 witness.size,
-                alpha_cell,
+                alpha,
             ]
         )
     summary = {"instances": args.reps, "with_oracle": len(ratios)}

@@ -36,28 +36,27 @@ def complete(n: int) -> Graph:
 
 def j_graph(n: int) -> Graph:
     """Complete graph on an even number of vertices minus a perfect matching."""
-    if n < 2 or n % 2:
+    if _check_int(n, "n") < 2 or n % 2:
         raise GraphError(f"j_graph needs an even n >= 2, got {n}")
     return build(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                      if u % 2 or v != u + 1])
 
 
 def complete_minus_clique(n: int, q: int) -> Graph:
-    if not 0 <= q <= n:
+    if not 0 <= _check_int(q, "q") <= _check_int(n, "n"):
         raise GraphError(f"need 0 <= q <= n, got q={q}, n={n}")
     return build(n, [(u, v) for u in range(n) for v in range(max(u + 1, q), n)])
 
 
 def complete_minus_cycle(n: int) -> Graph:
-    if n < 3:
+    if _check_int(n, "n") < 3:
         raise GraphError(f"cycle removal needs n >= 3, got {n}")
     return build(n, [(u, v) for u in range(n) for v in range(u + 2, n)
                      if (u, v) != (0, n - 1)])
 
 
 def star(m: int) -> Graph:
-    if m < 0:
-        raise GraphError(f"star needs m >= 0, got {m}")
+    m = _check_k(m, "m")
     return build(m + 1, [(0, i) for i in range(1, m + 1)])
 
 
@@ -68,33 +67,30 @@ def wagner_r8() -> Graph:
 
 def thm14_5(d: int, q: int) -> Graph:
     """(K_{d+2} - E(K_3)) plus q copies of (K_{d+1} - E(K_3))."""
-    if d < 2:
-        raise GraphError(f"thm14_5 needs d >= 2, got {d}")
-    if q < 0:
+    if _check_int(q, "q") < 0:
         raise GraphError(f"thm14_5 needs q >= 0, got {q}")
-    if d > 4 + 6 * q:
-        raise GraphError(f"thm14_5 needs d <= 4+6q, got d={d}, q={q}")
+    if not 2 <= _check_int(d, "d") <= 4 + 6 * q:
+        raise GraphError(f"thm14_5 needs 2 <= d <= 4+6q, got d={d}, q={q}")
     return disjoint_union(complete_minus_clique(d + 2, 3),
                           *[complete_minus_clique(d + 1, 3)] * q)
 
 
 def thm14_6(k: int) -> Graph:
     """(K_{k+3} - E(K_{k+1})) plus k copies of the star K_{1,k+1}."""
-    if k < 2:
+    if _check_int(k, "k") < 2:
         raise GraphError(f"thm14_6 needs k >= 2, got {k}")
     return disjoint_union(complete_minus_clique(k + 3, k + 1), copies(k, star(k + 1)))
 
 
 def thm12_2(k: int) -> Graph:
     """K_{1,k+1} plus k isolated vertices."""
-    if k < 0:
-        raise GraphError(f"thm12_2 needs k >= 0, got {k}")
+    k = _check_k(k)
     return build(2 * k + 2, [(0, i) for i in range(1, k + 2)])
 
 
 def thm10_odd(d: int) -> Graph:
     """(d+3) copies of J_{d+1} plus (d+1) copies of J_{d+3}, d odd."""
-    if d < 1 or d % 2 == 0:
+    if _check_int(d, "d") < 1 or d % 2 == 0:
         raise GraphError(f"thm10_odd needs odd d >= 1, got {d}")
     return disjoint_union(copies(d + 3, j_graph(d + 1)), copies(d + 1, j_graph(d + 3)))
 
@@ -221,16 +217,19 @@ def parse_family(text: str) -> FamilySpec:
 
 
 def make_graph(spec: FamilySpec, default_seed: int | None = None) -> Graph:
-    """Instantiate a FamilySpec."""
+    """Instantiate a FamilySpec, checking the counts a hand-built one can get wrong."""
     if spec.family == "blend":
-        g1 = make_graph(spec.sub_specs[0], default_seed)
-        g2 = make_graph(spec.sub_specs[1], default_seed)
-        return blend(g1, g2)
-    if spec.family == "gnm":
-        seed = spec.seed if spec.seed is not None else default_seed
-        if seed is None:
-            raise GraphError("gnm needs a seed (seed=... or --seed)")
-        return random_gnm(spec.parameters[0], spec.parameters[1], seed)
+        if len(spec.sub_specs) != 2:
+            raise GraphError("blend takes exactly two '+'-separated specs")
+        return blend(*[make_graph(s, default_seed) for s in spec.sub_specs])
     if spec.family not in _FAMILIES:
         raise GraphError(f"unknown family '{spec.family}'")
-    return _FAMILIES[spec.family][1](*spec.parameters)
+    names, family = _FAMILIES[spec.family]
+    if len(spec.parameters) != len(names):
+        raise GraphError(f"family '{spec.family}' takes {names}, got {spec.parameters}")
+    if family:
+        return family(*spec.parameters)
+    seed = spec.seed if spec.seed is not None else default_seed
+    if seed is None:
+        raise GraphError("gnm needs a seed (seed=... or --seed)")
+    return random_gnm(*spec.parameters, seed)

@@ -33,7 +33,8 @@ class Graph:
     iterates in increasing index order and tie-breaking in the algorithms
     built on top is reproducible.  `neighbor_set` builds a fresh frozenset
     on every call.  The max-degree deletion order is computed on first use
-    and kept with the graph (see `_peel`).
+    and kept with the graph (see `_peel`).  The constructor trusts its
+    input, so `Graph([[5]])` builds; `build` is the checked constructor.
     """
 
     __slots__ = ("n", "_adj", "_order")
@@ -108,8 +109,8 @@ def build(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from a vertex count and an edge list.
 
     Adjacency is one list per vertex, each edge checked once as it is added.
-    Duplicate edges collapse; self-loops and out-of-range indices raise
-    GraphError, as does a vertex count that is not a nonnegative integer.
+    Duplicate edges collapse.  A self-loop, an endpoint out of range or not
+    an integer, or a vertex count not a nonnegative integer raises GraphError.
     """
     n = _check_k(n, "vertex count")
     adj: list[list[int]] = [[] for _ in range(n)]
@@ -120,7 +121,8 @@ def build(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
                 raise IndexError
             adj[u].append(v)
             adj[v].append(u)
-        except IndexError:
+        except (IndexError, TypeError):  # a TypeError: some endpoint is no integer
+            u, v = _check_int(u, "endpoint"), _check_int(v, "endpoint")
             raise GraphError(f"self-loop at vertex {u}" if u == v
                              else f"edge ({u}, {v}) out of range for n={n}") from None
     g = Graph(adj)
@@ -142,7 +144,7 @@ def disjoint_union(*graphs: Graph) -> Graph:
 
 def copies(q: int, g: Graph) -> Graph:
     """Disjoint union of q copies of g."""
-    if q < 1:
+    if _check_int(q, "q") < 1:
         raise GraphError(f"number of copies must be positive, got {q}")
     return disjoint_union(*[g] * q)
 
@@ -221,21 +223,27 @@ def verify_k_independent(g: Graph, s: Iterable[int], k: int) -> bool:
     """True iff the set induces maximum degree at most k.
 
     The check is on the set of the given vertices: one listed twice counts
-    once, so `verify_k_independent(g, [0, 0], 0)` is True.  Runs in
-    O(sum of degrees over the set).
+    once, so `verify_k_independent(g, [0, 0], 0)` is True.  A vertex not in
+    0..n-1, or not an integer and reached by the scan, raises GraphError.
+    Runs in O(sum of degrees over the set).
     """
     _check_k(k)
     sset = set(s)
-    for v in sset:
-        if not 0 <= v < g.n:
-            raise GraphError(f"vertex {v} not in graph of order {g.n}")
-    for v in sset:
-        inside = 0
-        for u in g.neighbors(v):
-            if u in sset:
-                inside += 1
-                if inside > k:
-                    return False
+    try:
+        for v in sset:
+            if not 0 <= v < g.n:
+                raise GraphError(f"vertex {v} not in graph of order {g.n}")
+        for v in sset:
+            inside = 0
+            for u in g.neighbors(v):
+                if u in sset:
+                    inside += 1
+                    if inside > k:
+                        return False
+    except TypeError:  # some vertex is no integer: name it
+        for v in sset:
+            _check_int(v, "vertex")
+        raise
     return True
 
 

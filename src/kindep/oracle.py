@@ -247,7 +247,7 @@ def alpha_k_exact(g: Graph, k: int, limit: int | None = None) -> tuple[int, Witn
     runs.
     """
     _check_k(k)
-    eff_limit = DEFAULT_ALPHA_LIMIT if limit is None else limit
+    eff_limit = DEFAULT_ALPHA_LIMIT if limit is None else _check_k(limit, "limit")
     if g.n > eff_limit:
         raise OracleLimitError(f"order n={g.n} exceeds oracle limit {eff_limit}")
     masks = _adjacency_masks(g)
@@ -278,7 +278,7 @@ def chi_k_exact(g: Graph, k: int, limit: int | None = None) -> int:
     in at most k+1 vertices; every count skipped would have been refuted.
     """
     _check_k(k)
-    eff_limit = DEFAULT_CHI_LIMIT if limit is None else limit
+    eff_limit = DEFAULT_CHI_LIMIT if limit is None else _check_k(limit, "limit")
     if g.n > eff_limit:
         raise OracleLimitError(f"order n={g.n} exceeds oracle limit {eff_limit}")
     masks = _adjacency_masks(g)

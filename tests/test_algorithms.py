@@ -95,6 +95,19 @@ class TestLovaszPartition:
         for line in log.splitlines():
             assert re.fullmatch(r"MOVE \d+ \d+->\d+ phi=-?\d+/\d+", line)
 
+    @pytest.mark.parametrize("run", [
+        lambda g: lovasz_partition(g, [1, 1]),
+        lambda g: lovasz_largest_class(g, 1),
+        lambda g: algorithm1(g, 1),
+        lambda g: algorithm2(g, 1),
+    ], ids=["lovasz_partition", "lovasz_largest_class", "algorithm1", "algorithm2"])
+    def test_every_partition_checks_its_classes(self, monkeypatch, run):
+        # `_partition` checks each class on G before it returns, so a class
+        # the check refuses stops every caller with a CertificateError.
+        monkeypatch.setattr(algorithms_module, "verify_k_independent", lambda g, s, k: False)
+        with pytest.raises(CertificateError, match="^a partition class exceeds its capacity 1$"):
+            run(complete(4))
+
 
 def frozen_violator_set_partition(g, caps):
     """The partition loop as it stood before the violator heap: a set of

@@ -306,6 +306,13 @@ class TestBench:
         assert code == 0
         assert [row[9] for row in json.loads(out)["rows"]] == [8]
 
+    @pytest.mark.parametrize("command", ["bench", "exact"])
+    def test_negative_limit_refused(self, capsys, command):
+        # bench leaves the cap rule to alpha_k_exact, so both commands
+        # refuse a negative limit the same way.
+        code, out, err = run_cli(capsys, command, "--family", "j:6", "--k", "1", "--limit", "-1")
+        assert (code, out, err) == (2, "", "error: limit must be nonnegative, got -1\n")
+
 
 class TestErrors:
     def test_unknown_family(self, capsys):

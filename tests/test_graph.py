@@ -431,6 +431,9 @@ class TestFormats:
         (read_dimacs, "p edge 3 1\ne 2 2\n", "GraphFormatError: line 2: self-loop at vertex 2"),
         (read_edge_list, "3 1\n 2\n", "GraphFormatError: line 2: expected edge 'u v'"),
         (read_edge_list, "3 1\n2 \n", "GraphFormatError: line 2: expected edge 'u v'"),
+        # Digits after the last line feed pass the gate and JSON reads 2m + 1
+        # integers: the block's length check hands the file to the line loop.
+        (read_edge_list, "2 1\n0 1\n5", "GraphFormatError: line 3: expected edge 'u v'"),
         # Valid, but JSON rejects the leading zero, so the line loop reads it.
         (read_edge_list, "3 1\n01 2\n", build(3, [(1, 2)])),
         (read_edge_list, "3 0\n", build(3, [])),
@@ -439,7 +442,7 @@ class TestFormats:
     ], ids=["dimacs-digit-before-e", "dimacs-digit-after-e", "dimacs-compensating-lines",
             "dimacs-no-edge-line", "dimacs-zero-endpoint", "edge-past-n", "edge-huge-count",
             "dimacs-huge-count", "edge-self-loop", "dimacs-self-loop", "edge-leading-blank",
-            "edge-trailing-blank", "edge-leading-zero", "edge-empty", "edge-tabs", "dimacs-tabs"])
+            "edge-trailing-blank", "edge-digits-after-last-line", "edge-leading-zero", "edge-empty", "edge-tabs", "dimacs-tabs"])
     def test_block_gate_agrees_with_the_line_loop(self, reader, text, expected):
         fast = _outcome(reader, text)
         with mock.patch.object(formats, "_edge_block", return_value=None):
